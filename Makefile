@@ -9,8 +9,12 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module (replace jinjing => ../), so the root
+# ./... never compiles it; vet it explicitly so a core API change that
+# breaks the benchmark harness fails here.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	gofmt -l -w .
@@ -27,12 +31,12 @@ test: vet
 test-full:
 	JINJING_EXPERIMENTS_LARGE=1 $(GO) test -timeout 30m ./...
 
-# Race-detector pass over the fast suite (CheckParallel, obs sinks).
+# Race-detector pass over the fast suite (check worker pool, obs sinks).
 race:
 	$(GO) test -race -short ./...
 
 # Bounded differential-fuzz corpus: the full (non-short) randomized
-# harness pinning Check == CheckParallel(k) == monolithic, plus the
+# harness pinning Check at every worker count == monolithic, plus the
 # sequential-vs-parallel fix agreement corpus.
 fuzz:
 	$(GO) test -count=1 -run 'TestFuzz|TestFixParallelMatchesSequential' ./internal/core
@@ -80,6 +84,7 @@ lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # The Figure 4a–4d benchmark harness.
 bench:

@@ -118,12 +118,12 @@ func BenchmarkCheckParallelWAN(b *testing.B) {
 			opts.FindAllViolations = true
 			opts.UseDifferential = false
 			e := core.New(w.Net, after, w.Scope, opts)
-			if e.CheckParallel(workers).Consistent { // warm: encode + fork
+			if checkWorkers(e, workers).Consistent { // warm: encode + fork
 				b.Fatal("must be inconsistent")
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if e.CheckParallel(workers).Consistent {
+				if checkWorkers(e, workers).Consistent {
 					b.Fatal("must be inconsistent")
 				}
 			}

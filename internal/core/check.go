@@ -52,7 +52,7 @@ type CheckResult struct {
 	Forensics []FECForensics
 	// SolverStats aggregates the full SAT counters (decisions,
 	// propagations, conflicts, restarts, learned, deleted) across every
-	// solver the check spun up — including all CheckParallel workers.
+	// solver the check spun up — including every worker's.
 	SolverStats sat.Stats
 	// Conflicts totals SAT conflict counts across all queries, the
 	// stand-in for the paper's "DPLL recursive calls" (§9). It equals
@@ -70,9 +70,10 @@ type CheckResult struct {
 
 // Check verifies packet (or desired, when controls are present)
 // reachability consistency between the engine's Before and After
-// snapshots, per Algorithm 1. With Options.Workers > 1 the per-FEC
-// queries run concurrently (see CheckParallel). Repeated calls on the
-// same engine reuse the encoded queries and warmed solvers.
+// snapshots, per Algorithm 1. Options.Workers > 1 fans the per-FEC
+// queries out across a worker pool and Options.Shards > 1 streams them
+// through bounded FEC windows; neither can change a result. Repeated
+// calls on the same engine reuse the encoded queries and warmed solvers.
 func (e *Engine) Check() *CheckResult {
 	return e.CheckContext(context.Background())
 }
@@ -83,36 +84,17 @@ func (e *Engine) Check() *CheckResult {
 // CheckResult.Unknown with Complete=false, in canonical FEC order, and
 // are never cached — a later unrestricted call re-solves them.
 func (e *Engine) CheckContext(ctx context.Context) *CheckResult {
-	return e.checkWith(ctx, e.Opts.Workers)
+	return e.checkWith(ctx)
 }
 
-// CheckParallel is Check with the per-FEC Equation-3 queries fanned out
-// across the given number of workers, overriding Options.Workers. The
-// ACL cones are Tseitin-clausified once into a prototype solver and
-// deep-copied to each worker (smt.Fork), so clausification is paid once
-// per distinct ACL rather than once per worker; worker solvers persist
-// on the engine and are reused by later calls. Verdict, violations, and
-// SolvedFECs are identical to the sequential path: counterexamples come
-// from a deterministic witness pass over the violating FECs in FEC
-// order, independent of worker scheduling.
-func (e *Engine) CheckParallel(workers int) *CheckResult {
-	return e.checkWith(context.Background(), workers)
-}
-
-// CheckParallelContext is CheckParallel under a cancellation scope (see
-// CheckContext).
-func (e *Engine) CheckParallelContext(ctx context.Context, workers int) *CheckResult {
-	return e.checkWith(ctx, workers)
-}
-
-func (e *Engine) checkWith(callCtx context.Context, workers int) *CheckResult {
+func (e *Engine) checkWith(callCtx context.Context) *CheckResult {
 	o := e.obsv()
 	ls := e.ledgerBegin()
 	cn, endCall := e.beginCall(callCtx)
 	defer endCall()
 	attrs := []obs.Attr{obs.KV("mode", "sequential")}
-	if workers > 1 {
-		attrs = []obs.Attr{obs.KV("mode", "parallel"), obs.KV("workers", workers)}
+	if e.Opts.Workers > 1 {
+		attrs = []obs.Attr{obs.KV("mode", "parallel"), obs.KV("workers", e.Opts.Workers)}
 	}
 	root := e.startSpan("check", attrs...)
 	res := &CheckResult{Consistent: true, Complete: true, Timings: Timings{}}
@@ -134,23 +116,13 @@ func (e *Engine) checkWith(callCtx context.Context, workers int) *CheckResult {
 	res.FECs = ctx.nfec
 	fp.end(obs.KV("fecs", ctx.nfec))
 	statsBase := ctx.stats
-	ctx.peakHeap = 0
+	ctx.peakHeap, ctx.maxNodes = 0, 0
 
-	// Detection: resolve each FEC (differential skip, cached-verdict
-	// replay, SAT-free pre-filter) and decide the remaining queries.
-	// hits is ascending violating FEC indices; in first-violation mode
-	// it has at most one entry — the lowest violating FEC, exactly what
-	// the sequential scan finds. last is the highest FEC index the scan
-	// semantically examined (early stops leave the tail unexamined).
-	var hits []int
-	var last int
-	if e.sharded() {
-		hits, last = e.solveSharded(cn, ctx, res, root, o, workers)
-	} else if workers > 1 {
-		hits, last = e.solveParallel(cn, ctx, res, root, o, workers)
-	} else {
-		hits, last = e.solveSequential(cn, ctx, res, root, o)
-	}
+	// Detection: hits is ascending violating FEC indices (at most the
+	// lowest one in first-violation mode); last is the highest FEC index
+	// the scan semantically examined (early stops leave the tail
+	// unexamined).
+	hits, last := e.solveWindows(cn, ctx, res, root, o)
 	res.SolvedFECs = solvedFECs(ctx, last)
 	collectUnknown(ctx, res, last, o)
 
@@ -181,13 +153,10 @@ func (e *Engine) checkWith(callCtx context.Context, workers int) *CheckResult {
 	o.Gauge("impact.affected_fecs").Set(int64(res.Stats.AffectedFECs))
 
 	res.Conflicts = res.SolverStats.Conflicts
-	if e.sharded() {
-		// Shard builders are gone by now; report the largest one seen.
-		o.Gauge("smt.nodes").Set(ctx.maxNodes)
-	} else {
-		recordBuilderSize(o, ctx.sess.enc)
-	}
-	if e.sharded() || e.Opts.Forensics || e.Opts.DecisionLog != nil {
+	o.Gauge("smt.nodes").Set(ctx.maxNodes)
+	// Shards already paid for heap samples (see closeWindow); otherwise
+	// only forensics or a ledger buys one.
+	if ctx.peakHeap > 0 || e.Opts.Forensics || e.Opts.DecisionLog != nil {
 		ctx.sampleHeap()
 		res.PeakHeapBytes = ctx.peakHeap
 		o.Gauge("mem.heap_peak_bytes").Set(ctx.peakHeap)
@@ -209,57 +178,85 @@ func (e *Engine) checkWith(callCtx context.Context, workers int) *CheckResult {
 	return res
 }
 
-// solveSequential scans the FECs in order — replaying cached verdicts,
-// discharging pre-filtered FECs, and deciding pending queries on the
-// session's persistent incremental solver — stopping at the first
-// violation unless FindAllViolations is set. Resolution is lazy, so an
-// early stop skips all work for the remaining FECs. A budget-exhausted
-// FEC is marked Unknown and the scan continues (one pathological query
-// must not starve the rest); a cancellation marks everything undecided
-// Unknown and stops. Returns ascending violating FEC indices and the
-// last FEC index examined.
-func (e *Engine) solveSequential(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs.Span, o *obs.Observer) ([]int, int) {
-	sp := startPhase(root, res.Timings, "solve")
-	sess := ctx.sess
-	if sess.seq == nil {
-		sess.seq = smt.SolverOn(sess.enc.b)
-	}
-	solver := sess.seq
-	cn.register(solver)
-	base := solver.Stats()
+// solveWindows is Algorithm 1's detection loop. It walks the FEC
+// windows in ascending order (see openWindow): the whole index space on
+// the engine's persistent session, or one shard range at a time on a
+// throwaway one. Each window resolves its FECs in order and decides the
+// queries left pending (solveWindow). In first-violation mode the walk
+// stops at the first violation — the global minimum, since windows
+// ascend — and hits holds just that FEC; in find-all mode hits lists
+// every violating FEC ascending. last is the highest FEC index the scan
+// semantically examined.
+func (e *Engine) solveWindows(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs.Span, o *obs.Observer) (hits []int, last int) {
 	task := o.StartTask("check: FECs", int64(ctx.nfec))
-	so := solveObsFor(o, sp.sp)
-	ctx.resolveSpan = sp.sp
-	defer func() { ctx.resolveSpan = nil }()
-
-	var hits []int
-	last := ctx.nfec - 1
-	decided := 0
-scan:
-	for i := 0; i < ctx.nfec; i++ {
+	defer task.Done()
+	for _, w := range ctx.windows(e.Opts.Shards) {
+		s := ctx.openWindow(w, e.Opts.UseTournament, o)
+		first := e.solveWindow(cn, ctx, s, w, res, root, o, task)
+		ctx.closeWindow(w, s, o)
+		if first >= 0 {
+			return []int{first}, first
+		}
 		if cn.cancelled() {
-			// The call is dead: everything not yet decided in the scan's
-			// range is Unknown — including unresolved FECs, whose verdicts
-			// this call can no longer establish.
-			for ; i < ctx.nfec; i++ {
-				if st := ctx.states[i]; st == fecUnresolved || st == fecPending {
-					ctx.markUnknown(i, reasonCancelled)
-				}
-			}
+			// Windows never opened hold FECs the scan semantically
+			// examined but could not decide.
+			ctx.markCancelled(w.Hi, ctx.nfec)
 			break
 		}
-		switch e.resolveFEC(ctx, i) {
-		case fecViolating:
-			// Replayed (or decided by an earlier call) violating verdict:
-			// the scan stops here exactly as if the solver had just said
-			// SAT.
-			hits = append(hits, i)
-			if !e.Opts.FindAllViolations {
-				last = i
-				break scan
+	}
+	if e.Opts.FindAllViolations {
+		for i := 0; i < ctx.nfec; i++ {
+			if ctx.states[i] == fecViolating {
+				hits = append(hits, i)
 			}
-		case fecPending:
+		}
+	}
+	return hits, ctx.nfec - 1
+}
+
+// solveWindow resolves window w's FECs in order — differential skip,
+// cached-verdict replay, SAT-free pre-filter, pset backend — and
+// decides the queries left pending on session s. With one worker each
+// pending query is decided as soon as it is resolved, so a
+// first-violation scan resolves nothing past its answer; with more, the
+// window's pending queries fan out across the worker pool once it is
+// resolved (decidePending), and resolution stops only at a replayed
+// violation. A budget-exhausted FEC is marked Unknown and the scan
+// continues (one pathological query must not starve the rest); a
+// cancellation marks everything undecided Unknown and stops. Returns
+// the lowest violating FEC index in first-violation mode, or -1.
+func (e *Engine) solveWindow(cn *canceller, ctx *checkCtx, s *checkSession, w topo.ShardRange, res *CheckResult, root *obs.Span, o *obs.Observer, task *obs.Task) int {
+	findAll := e.Opts.FindAllViolations
+	inline := e.Opts.Workers <= 1
+	phase := "encode"
+	if inline {
+		phase = "solve"
+	}
+	ph := startPhase(root, res.Timings, phase)
+	var so solveObs
+	var solver *smt.Solver
+	var base sat.Stats
+	if inline {
+		so = solveObsFor(o, ph.sp)
+		solver = s.sequential()
+		cn.register(solver)
+		base = solver.Stats()
+	}
+	ctx.resolveSpan = ph.sp
+	first, decided := -1, 0
+	var pend []checkJob
+	for i := w.Lo; i < w.Hi; i++ {
+		if cn.cancelled() {
+			ctx.markCancelled(i, w.Hi)
+			break
+		}
+		st := e.resolveFEC(ctx, i)
+		if st == fecPending {
 			j := ctx.jobs[ctx.jobOf[i]]
+			if !inline {
+				pend = append(pend, j)
+				continue
+			}
 			gotVerdict, satisfiable := e.decideJob(cn, solver, ctx, j, o, so)
 			if !gotVerdict {
 				continue
@@ -267,18 +264,27 @@ scan:
 			decided++
 			task.Add(1)
 			if satisfiable {
-				hits = append(hits, i)
-				if !e.Opts.FindAllViolations {
-					last = i
-					break scan
-				}
+				st = fecViolating
 			}
 		}
+		if st == fecViolating && !findAll {
+			first = i
+			break
+		}
 	}
-	task.Done()
-	recordSolverStats(o, &res.SolverStats, statsSince(solver.Stats(), base))
-	sp.end(obs.KV("decided", decided), obs.KV("violations", len(hits)))
-	return hits, last
+	ctx.resolveSpan = nil
+	if inline {
+		recordSolverStats(o, &res.SolverStats, statsSince(solver.Stats(), base))
+		ph.end(obs.KV("decided", decided))
+		return first
+	}
+	ph.end(obs.KV("jobs", len(pend)))
+	// Every pending job precedes a replayed first violation, so a hit
+	// among them is the lower one.
+	if hit := e.decidePending(cn, ctx, s, res, root, o, task, pend); hit >= 0 {
+		return hit
+	}
+	return first
 }
 
 // fecTouchesDiff reports whether any differential rule can match traffic

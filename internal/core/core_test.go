@@ -49,6 +49,14 @@ func newRunningEngine(t *testing.T, opts core.Options) *core.Engine {
 	return e
 }
 
+// checkWorkers runs e.Check with Options.Workers set to workers for
+// this call only.
+func checkWorkers(e *core.Engine, workers int) *core.CheckResult {
+	defer func(w int) { e.Opts.Workers = w }(e.Opts.Workers)
+	e.Opts.Workers = workers
+	return e.Check()
+}
+
 func TestRunningExampleCheckInconsistent(t *testing.T) {
 	for _, diff := range []bool{true, false} {
 		opts := core.DefaultOptions()

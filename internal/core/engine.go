@@ -103,7 +103,7 @@ type Options struct {
 	Backend Backend
 	// Workers > 1 fans the solver loops of all three primitives out
 	// across that many goroutines: check's per-FEC Equation-3 queries
-	// (persistent forked-solver pool; see CheckParallel), fix's per-FEC
+	// (persistent forked-solver pool; see decidePending), fix's per-FEC
 	// neighborhood seeking, and generate's per-AEC synthesis. Results
 	// merge in deterministic FEC/AEC order, so verdicts, violations,
 	// fixing plans, and generated ACLs are byte-identical for every

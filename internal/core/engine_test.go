@@ -91,7 +91,7 @@ func TestCheckParallelAgreesWithSequential(t *testing.T) {
 	seq := e.Check()
 	for _, workers := range []int{1, 2, 4, 8} {
 		e2 := newRunningEngine(t, opts)
-		par := e2.CheckParallel(workers)
+		par := checkWorkers(e2, workers)
 		if par.Consistent != seq.Consistent {
 			t.Fatalf("workers=%d: verdict %v != %v", workers, par.Consistent, seq.Consistent)
 		}
@@ -107,7 +107,7 @@ func TestCheckParallelAgreesWithSequential(t *testing.T) {
 	// Consistent case.
 	before := papernet.Build()
 	same := core.New(before, before.Clone(), papernet.Scope(), core.DefaultOptions())
-	if !same.CheckParallel(4).Consistent {
+	if !checkWorkers(same, 4).Consistent {
 		t.Fatal("parallel check flagged an unchanged network")
 	}
 }

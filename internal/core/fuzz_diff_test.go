@@ -15,8 +15,8 @@ import (
 )
 
 // This file is the differential fuzz harness for the parallel execution
-// layer: random small networks plus random ACL edits, with Check,
-// CheckParallel at several worker counts, and the monolithic baseline
+// layer: random small networks plus random ACL edits, with Check at
+// several worker counts (Options.Workers) and the monolithic baseline
 // required to agree. Any divergence between the sequential scan and the
 // forked-worker pool — a stale cache entry, a clause database corrupted
 // by Clone, a scheduling-dependent witness — shows up as a verdict or
@@ -235,8 +235,8 @@ func fecSet(res *core.CheckResult) map[string]bool {
 }
 
 // TestFuzzCheckParallelAgreement is the differential fuzz harness:
-// for each random case, Check (sequential), CheckParallel at 2, 4, and
-// 8 workers, and CheckMonolithic must agree on the consistency verdict
+// for each random case, Check at 1 (sequential), 2, 4, and 8 workers
+// and CheckMonolithic must agree on the consistency verdict
 // and on the set of violating FECs; the sequential and parallel
 // pipelines must additionally agree on the exact counterexamples.
 func TestFuzzCheckParallelAgreement(t *testing.T) {
@@ -275,17 +275,17 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 			// Fresh engine per worker count: the point is that a cold
 			// parallel pipeline reproduces the sequential result, not that
 			// one engine is self-consistent.
-			par := core.New(before, after, scope, opts).CheckParallel(workers)
+			par := checkWorkers(core.New(before, after, scope, opts), workers)
 			if got := checkSignature(par); got != want {
-				t.Fatalf("case %d: CheckParallel(%d) diverged from Check\nseq:\n%s\npar:\n%s",
+				t.Fatalf("case %d: Workers=%d diverged from Check\nseq:\n%s\npar:\n%s",
 					iter, workers, want, got)
 			}
 			if gotFECs := fecSet(par); len(gotFECs) != len(wantFECs) {
-				t.Fatalf("case %d: CheckParallel(%d) violating FEC set %v != %v",
+				t.Fatalf("case %d: Workers=%d violating FEC set %v != %v",
 					iter, workers, gotFECs, wantFECs)
 			}
 			if par.SolvedFECs != seq.SolvedFECs {
-				t.Fatalf("case %d: CheckParallel(%d) SolvedFECs=%d, sequential=%d",
+				t.Fatalf("case %d: Workers=%d SolvedFECs=%d, sequential=%d",
 					iter, workers, par.SolvedFECs, seq.SolvedFECs)
 			}
 		}
@@ -293,11 +293,11 @@ func TestFuzzCheckParallelAgreement(t *testing.T) {
 		// A warm engine mixing both call patterns must agree too: the
 		// cached encoder, job list, and pooled solvers are shared state.
 		warm := core.New(before, after, scope, opts)
-		if got := checkSignature(warm.CheckParallel(4)); got != want {
-			t.Fatalf("case %d: warm CheckParallel(4) diverged:\n%s\nwant:\n%s", iter, got, want)
+		if got := checkSignature(checkWorkers(warm, 4)); got != want {
+			t.Fatalf("case %d: warm Workers=4 diverged:\n%s\nwant:\n%s", iter, got, want)
 		}
 		if got := checkSignature(warm.Check()); got != want {
-			t.Fatalf("case %d: Check after CheckParallel diverged:\n%s\nwant:\n%s", iter, got, want)
+			t.Fatalf("case %d: Check after a Workers=4 check diverged:\n%s\nwant:\n%s", iter, got, want)
 		}
 
 		mono := core.New(before, after, scope, opts).CheckMonolithic()
@@ -360,7 +360,7 @@ func TestFuzzBackendThreeWay(t *testing.T) {
 			t.Fatalf("case %d: pset SolvedFECs=%d, sat=%d", iter, resPset.SolvedFECs, resSat.SolvedFECs)
 		}
 
-		resAuto := core.New(before, after, scope, mk(core.BackendAuto)).CheckParallel(4)
+		resAuto := checkWorkers(core.New(before, after, scope, mk(core.BackendAuto)), 4)
 		if got := checkSignature(resAuto); got != want {
 			t.Fatalf("case %d: auto backend (parallel) diverged from SAT\nsat:\n%s\nauto:\n%s", iter, want, got)
 		}
@@ -421,13 +421,13 @@ func TestFuzzFirstViolationAgreement(t *testing.T) {
 		seq := core.New(before, after, scope, opts).Check()
 		want := checkSignature(seq)
 		for _, workers := range []int{2, 8} {
-			par := core.New(before, after, scope, opts).CheckParallel(workers)
+			par := checkWorkers(core.New(before, after, scope, opts), workers)
 			if got := checkSignature(par); got != want {
-				t.Fatalf("case %d: first-violation CheckParallel(%d) diverged\nseq:\n%s\npar:\n%s",
+				t.Fatalf("case %d: first-violation Workers=%d diverged\nseq:\n%s\npar:\n%s",
 					iter, workers, want, got)
 			}
 			if par.SolvedFECs != seq.SolvedFECs {
-				t.Fatalf("case %d: CheckParallel(%d) SolvedFECs=%d, sequential=%d",
+				t.Fatalf("case %d: Workers=%d SolvedFECs=%d, sequential=%d",
 					iter, workers, par.SolvedFECs, seq.SolvedFECs)
 			}
 		}
@@ -610,7 +610,7 @@ func TestFuzzIncrementalEditSequences(t *testing.T) {
 		warmSeq := core.New(before, before.Clone(), scope, warmOpts)
 		warmPar := core.New(before, before.Clone(), scope, parOpts)
 		warmSeq.Check()
-		warmPar.CheckParallel(4)
+		checkWorkers(warmPar, 4)
 
 		cur := before
 		for step := 0; step < steps; step++ {
@@ -633,7 +633,7 @@ func TestFuzzIncrementalEditSequences(t *testing.T) {
 			}
 
 			warmPar.UpdateAfter(cur)
-			par := warmPar.CheckParallel(4)
+			par := checkWorkers(warmPar, 4)
 			if got := checkSignature(par); got != want {
 				t.Fatalf("case %d step %d: warm parallel diverged\nwarm:\n%s\ncold:\n%s",
 					iter, step, got, want)
@@ -695,7 +695,7 @@ func FuzzBackendAgreement(f *testing.F) {
 			t.Fatalf("pset SolvedFECs=%d, sat=%d", resPset.SolvedFECs, resSat.SolvedFECs)
 		}
 
-		resAuto := core.New(before, after, scope, mk(core.BackendAuto)).CheckParallel(4)
+		resAuto := checkWorkers(core.New(before, after, scope, mk(core.BackendAuto)), 4)
 		if got := checkSignature(resAuto); got != want {
 			t.Fatalf("auto backend (parallel) diverged from SAT\nsat:\n%s\nauto:\n%s", want, got)
 		}

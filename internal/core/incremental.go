@@ -708,13 +708,10 @@ func (e *Engine) resolveFEC(ctx *checkCtx, i int) fecState {
 		ns := time.Since(start).Nanoseconds()
 		ctx.solveNS[i] += ns
 		if ok {
-			// Same per-FEC decision-latency histogram the solver path
-			// feeds: its count stays equal to a cold run's SolvedFECs
-			// whichever backend answers. The backend-labelled histogram
-			// splits the same latencies by deciding backend.
-			o := e.obsv()
-			o.Histogram("check.fec_solve_ns").Observe(ns)
-			o.Histogram("fec.solve.ns{backend=pset}").Observe(ns)
+			// The solver path feeds the {backend=sat} twin, so the two
+			// counts sum to a cold run's SolvedFECs whichever backend
+			// answers.
+			e.obsv().Histogram("fec.solve.ns{backend=pset}").Observe(ns)
 			ctx.stats.PsetDecided++
 			ctx.routes[i] = routePset
 			ctx.finishVerdict(i, key, violating)
@@ -791,6 +788,17 @@ func (ctx *checkCtx) discharge(i int, key []uint64) {
 func (ctx *checkCtx) markUnknown(i int, reason string) {
 	ctx.states[i] = fecUnknown
 	ctx.unknownReason[i] = reason
+}
+
+// markCancelled marks every FEC in [lo, hi) still awaiting a verdict —
+// unresolved or pending — Unknown: the call is dead, so none of them
+// can get one.
+func (ctx *checkCtx) markCancelled(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if st := ctx.states[i]; st == fecUnresolved || st == fecPending {
+			ctx.markUnknown(i, reasonCancelled)
+		}
+	}
 }
 
 // finishVerdict records a complete-backend verdict — a solver's or the

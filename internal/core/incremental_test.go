@@ -6,6 +6,7 @@ import (
 	"jinjing/internal/acl"
 	"jinjing/internal/core"
 	"jinjing/internal/header"
+	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
 	"jinjing/internal/topo"
 )
@@ -122,11 +123,11 @@ func TestWarmParallelRecheckMatchesCold(t *testing.T) {
 		opts.FindAllViolations = findAll
 		opts.Verdicts = core.NewVerdictCache()
 		warm := core.New(before, after, papernet.Scope(), opts)
-		warm.CheckParallel(4)
+		checkWorkers(warm, 4)
 
 		edited := editAfter(t, after, "D:2", papernet.Traffic(7))
 		warm.UpdateAfter(edited)
-		got := warm.CheckParallel(4)
+		got := checkWorkers(warm, 4)
 
 		coldOpts := core.DefaultOptions()
 		coldOpts.FindAllViolations = findAll
@@ -137,6 +138,55 @@ func TestWarmParallelRecheckMatchesCold(t *testing.T) {
 		if got.SolvedFECs != fresh.SolvedFECs {
 			t.Fatalf("findAll=%v: warm SolvedFECs=%d, cold=%d", findAll, got.SolvedFECs, fresh.SolvedFECs)
 		}
+	}
+}
+
+// TestSequentialScanStopsAtFirstViolation pins the one-worker early
+// stop: a cold first-violation check resolves no FEC past its answer,
+// so its verdict-cache misses are exactly the non-skipped FECs up to
+// and including the first violating one — strictly fewer than a
+// find-all run's on a fixture with non-skipped FECs after it.
+func TestSequentialScanStopsAtFirstViolation(t *testing.T) {
+	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 5))
+	after := w.Perturb(5, 10)
+	run := func(findAll bool) *core.CheckResult {
+		opts := core.DefaultOptions()
+		opts.Workers = 1
+		opts.FindAllViolations = findAll
+		opts.Forensics = findAll
+		opts.Verdicts = core.NewVerdictCache()
+		return core.New(w.Net, after, w.Scope, opts).Check()
+	}
+	all := run(true)
+	first, upToFirst, lastNonSkipped := -1, 0, -1
+	for _, f := range all.Forensics {
+		if f.Route == "skip" {
+			continue
+		}
+		lastNonSkipped = f.FEC
+		if first < 0 {
+			upToFirst++
+			if f.Verdict == "violating" {
+				first = f.FEC
+			}
+		}
+	}
+	if first < 0 || lastNonSkipped == first {
+		t.Fatalf("fixture needs a first violation followed by non-skipped FECs (first=%d, last non-skipped=%d)",
+			first, lastNonSkipped)
+	}
+
+	one := run(false)
+	if one.Consistent {
+		t.Fatal("first-violation run missed the violation")
+	}
+	if one.Stats.FECCacheMisses >= all.Stats.FECCacheMisses {
+		t.Fatalf("first-violation misses %d not below find-all's %d: the scan resolved past its answer",
+			one.Stats.FECCacheMisses, all.Stats.FECCacheMisses)
+	}
+	if one.Stats.FECCacheMisses != int64(upToFirst) {
+		t.Fatalf("first-violation misses %d, want %d (non-skipped FECs in [0, %d])",
+			one.Stats.FECCacheMisses, upToFirst, first)
 	}
 }
 

@@ -203,7 +203,7 @@ func TestLedgerFuzzReplay(t *testing.T) {
 		e := core.New(before, after, scope, opts)
 		var res *core.CheckResult
 		if iter%2 == 0 {
-			res = e.CheckParallel(4)
+			res = checkWorkers(e, 4)
 		} else {
 			res = e.Check()
 		}

@@ -85,7 +85,7 @@ func TestCheckObservability(t *testing.T) {
 	if got := snap.Counters["sat.conflicts"]; got != res.SolverStats.Conflicts {
 		t.Fatalf("sat.conflicts counter %d != aggregated %d", got, res.SolverStats.Conflicts)
 	}
-	if got := snap.Histograms["check.fec_solve_ns"].Count; got != int64(res.SolvedFECs) {
+	if got := snap.Histograms["fec.solve.ns{backend=sat}"].Count + snap.Histograms["fec.solve.ns{backend=pset}"].Count; got != int64(res.SolvedFECs) {
 		t.Fatalf("solve histogram count %d != solved FECs %d", got, res.SolvedFECs)
 	}
 	if snap.Gauges["smt.nodes"] <= 0 {
@@ -127,7 +127,7 @@ func TestCheckParallelObservability(t *testing.T) {
 	if len(spans["encode"]) != 1 {
 		t.Fatalf("parallel check must have an encode phase: %v", spans)
 	}
-	if got := snap.Histograms["check.fec_solve_ns"].Count; got != int64(res.SolvedFECs) {
+	if got := snap.Histograms["fec.solve.ns{backend=sat}"].Count + snap.Histograms["fec.solve.ns{backend=pset}"].Count; got != int64(res.SolvedFECs) {
 		t.Fatalf("solve histogram count %d != solved FECs %d", got, res.SolvedFECs)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -25,18 +24,27 @@ type checkJob struct {
 	key    []uint64
 }
 
-// checkSession is the solver state that outlives a single After
-// snapshot: the shared content-addressed encoder (its builder grows
-// monotonically, hash-consing unchanged cones across edits), the
-// persistent sequential detection solver, the fully clausified
-// prototype the parallel workers fork from, and the pooled idle forks.
-// UpdateAfter keeps the session, so a warm re-check re-encodes only
-// what the edit changed.
+// checkSession is the solver state a FEC window is decided on: the
+// content-addressed encoder (its builder grows monotonically,
+// hash-consing unchanged cones across edits), the sequential detection
+// solver, the fully clausified prototype the workers fork from, and the
+// pooled idle forks. The engine's session outlives a single After
+// snapshot — UpdateAfter keeps it, so a warm re-check re-encodes only
+// what the edit changed; each shard gets a throwaway one.
 type checkSession struct {
 	enc   *encoder
 	seq   *smt.Solver
 	proto *smt.Solver
 	free  []*smt.Solver
+}
+
+// sequential returns the session's sequential solver, creating it on
+// first use.
+func (s *checkSession) sequential() *smt.Solver {
+	if s.seq == nil {
+		s.seq = smt.SolverOn(s.enc.b)
+	}
+	return s.seq
 }
 
 // checkCtx is one generation of the check pipeline — the derived state
@@ -78,14 +86,14 @@ type checkCtx struct {
 	src  *topo.FECSource
 	nfec int
 	// window is the currently materialized shard [winLo, winLo+len),
-	// and shardEnc the shard's private encoder; both are set only while
-	// solveSharded works a shard and released when it completes.
-	window   []topo.FEC
-	winLo    int
-	shardEnc *encoder
-	// maxNodes tracks the largest per-shard builder of the current call
-	// (reported where the unsharded path reports its builder size);
-	// peakHeap is the call's max sampled heap (see sampleHeap).
+	// and shard its throwaway session; both are set only while a shard
+	// is open (see openWindow).
+	window []topo.FEC
+	winLo  int
+	shard  *checkSession
+	// maxNodes is the largest window builder of the current call (the
+	// smt.nodes gauge); peakHeap is the call's max sampled heap (see
+	// sampleHeap).
 	maxNodes int64
 	peakHeap int64
 
@@ -104,8 +112,8 @@ type checkCtx struct {
 	routes  []fecRoute
 	solveNS []int64
 	// resolveSpan parents the per-FEC spans resolveFEC emits for
-	// pset-backend decisions. Set only around the single-goroutine
-	// resolution loops of the check solve/encode phases.
+	// pset-backend decisions. Set only around solveWindow's
+	// single-goroutine resolution loop.
 	resolveSpan *obs.Span
 	// protoJobs counts the jobs already clausified into the prototype
 	// this generation (unchanged cones hash-cons to already-clausified
@@ -169,8 +177,8 @@ func (ctx *checkCtx) numFECs() int { return ctx.nfec }
 // enc returns the encoder FEC formulas are built on: the open shard's
 // private encoder in sharded mode, the session encoder otherwise.
 func (ctx *checkCtx) enc() *encoder {
-	if ctx.shardEnc != nil {
-		return ctx.shardEnc
+	if ctx.shard != nil {
+		return ctx.shard.enc
 	}
 	return ctx.sess.enc
 }
@@ -228,66 +236,30 @@ func (e *Engine) checkContext(o *obs.Observer) *checkCtx {
 	return ctx
 }
 
-// solveParallel resolves every FEC (replaying cached verdicts), then
-// fans the still-pending queries out across a pool of worker solvers
-// forked from a shared, fully clausified prototype. Returns the
-// ascending violating FEC indices (truncated to the first when
-// FindAllViolations is off, matching the sequential scan exactly) and
-// the last FEC index the scan semantically examined.
-func (e *Engine) solveParallel(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs.Span, o *obs.Observer, workers int) ([]int, int) {
+// decidePending decides a window's pending Equation-3 queries across a
+// pool of worker solvers — the one check fan-out. Each query's cone is
+// Tseitin-clausified once into session s's prototype (incrementally:
+// protoJobs counts the generation's jobs already in it), and workers
+// decide on forks of it. The engine's persistent session keeps the
+// prototype and its forks for later calls; a shard's session dies with
+// the shard. Returns the lowest violating FEC index decided here in
+// first-violation mode, or -1 (always, in find-all mode).
+func (e *Engine) decidePending(cn *canceller, ctx *checkCtx, s *checkSession, res *CheckResult, root *obs.Span, o *obs.Observer, task *obs.Task, pend []checkJob) int {
 	findAll := e.Opts.FindAllViolations
-
-	// Encode: resolve FECs in order — in first-violation mode only up to
-	// (and including) the first replayed violation, which bounds the
-	// answer exactly as the sequential scan's early stop would. A
-	// cancellation mid-encode marks everything not yet resolved Unknown
-	// (formula construction isn't worth finishing for a dead call).
-	ep := startPhase(root, res.Timings, "encode")
-	ctx.resolveSpan = ep.sp
-	stop := ctx.nfec
-	replayed := -1
-	for i := 0; i < ctx.nfec; i++ {
-		if cn.cancelled() {
-			for ; i < stop; i++ {
-				if st := ctx.states[i]; st == fecUnresolved || st == fecPending {
-					ctx.markUnknown(i, reasonCancelled)
-				}
-			}
-			break
-		}
-		if e.resolveFEC(ctx, i) == fecViolating && !findAll {
-			replayed = i
-			stop = i + 1
-			break
-		}
-	}
-	// The jobs still pending a verdict this call, ascending FEC order.
-	var pend []checkJob
-	for i := 0; i < stop; i++ {
-		if ctx.states[i] == fecPending {
-			pend = append(pend, ctx.jobs[ctx.jobOf[i]])
-		}
-	}
-	ctx.resolveSpan = nil
-	ep.end(obs.KV("jobs", len(pend)))
-
+	workers := e.Opts.Workers
 	sp := startPhase(root, res.Timings, "solve")
-	sess := ctx.sess
-	// Clausify each query's cone once into the prototype; workers fork
-	// the resulting clause database instead of re-deriving it.
-	if sess.proto == nil {
-		sess.proto = smt.SolverOn(sess.enc.b)
+	if s.proto == nil {
+		s.proto = smt.SolverOn(s.enc.b)
 	}
 	for _, j := range ctx.jobs[ctx.protoJobs:] {
-		sess.proto.EnsureClausified(j.query)
+		s.proto.EnsureClausified(j.query)
 	}
 	ctx.protoJobs = len(ctx.jobs)
-	o.Gauge("smt.proto.clauses").Set(int64(sess.proto.NumClauses()))
+	o.Gauge("smt.proto.clauses").Set(int64(s.proto.NumClauses()))
 
 	if workers > len(pend) {
 		workers = len(pend)
 	}
-	task := o.StartTask("check: FECs", int64(len(pend)))
 	so := solveObsFor(o, sp.sp)
 	jobsHist := o.Histogram("check.worker_jobs")
 	var (
@@ -333,11 +305,11 @@ func (e *Engine) solveParallel(cn *canceller, ctx *checkCtx, res *CheckResult, r
 	// learned clauses stay matched to the queries it re-solves.
 	pool := make([]*smt.Solver, workers)
 	take := workers
-	if take > len(sess.free) {
-		take = len(sess.free)
+	if take > len(s.free) {
+		take = len(s.free)
 	}
-	copy(pool, sess.free[:take])
-	sess.free = append(sess.free[:0], sess.free[take:]...)
+	copy(pool, s.free[:take])
+	s.free = append(s.free[:0], s.free[take:]...)
 
 	for w := range pool {
 		wg.Add(1)
@@ -345,7 +317,7 @@ func (e *Engine) solveParallel(cn *canceller, ctx *checkCtx, res *CheckResult, r
 			defer wg.Done()
 			solver := pool[w]
 			if solver == nil {
-				solver = sess.proto.Fork()
+				solver = s.proto.Fork()
 				pool[w] = solver
 			}
 			cn.register(solver)
@@ -449,7 +421,7 @@ func (e *Engine) solveParallel(cn *canceller, ctx *checkCtx, res *CheckResult, r
 
 	// Sequential fallback: anything still pending means worker crashes
 	// outran the requeue — in the limit, the whole pool collapsed.
-	// Finish on the persistent sequential solver with no panic recovery:
+	// Finish on the session's sequential solver with no panic recovery:
 	// a bug deterministic enough to kill every worker should surface,
 	// not loop.
 	var seqBase sat.Stats
@@ -466,14 +438,11 @@ func (e *Engine) solveParallel(cn *canceller, ctx *checkCtx, res *CheckResult, r
 			continue
 		}
 		if !seqUsed {
-			if sess.seq == nil {
-				sess.seq = smt.SolverOn(sess.enc.b)
-			}
-			cn.register(sess.seq)
-			seqBase = sess.seq.Stats()
+			cn.register(s.sequential())
+			seqBase = s.seq.Stats()
 			seqUsed = true
 		}
-		decided, satisfiable := e.decideJob(cn, sess.seq, ctx, pend[k], o, so)
+		decided, satisfiable := e.decideJob(cn, s.seq, ctx, pend[k], o, so)
 		task.Add(1)
 		if decided && satisfiable && !findAll {
 			if cur := minHit.Load(); int64(k) < cur {
@@ -482,41 +451,19 @@ func (e *Engine) solveParallel(cn *canceller, ctx *checkCtx, res *CheckResult, r
 		}
 	}
 	if seqUsed {
-		agg.Add(statsSince(sess.seq.Stats(), seqBase))
+		agg.Add(statsSince(s.seq.Stats(), seqBase))
 	}
-	task.Done()
-	for _, s := range pool {
-		if s != nil {
-			sess.free = append(sess.free, s)
+	for _, solver := range pool {
+		if solver != nil {
+			s.free = append(s.free, solver)
 		}
 	}
 	recordSolverStats(o, &res.SolverStats, agg)
-
-	// Merge deterministically from the per-FEC states: worker
-	// scheduling decided who solved what, the states say what came out.
-	var hits []int
-	last := ctx.nfec - 1
-	if findAll {
-		for i := 0; i < ctx.nfec; i++ {
-			if ctx.states[i] == fecViolating {
-				hits = append(hits, i)
-			}
-		}
-	} else {
-		first := replayed
-		if h := minHit.Load(); h < int64(len(pend)) {
-			if f := pend[h].fecIdx; first < 0 || f < first {
-				first = f
-			}
-		}
-		if first >= 0 {
-			hits = []int{first}
-			last = first
-		}
+	sp.end(obs.KV("decided", len(pend)))
+	if h := minHit.Load(); h < int64(len(pend)) {
+		return pend[h].fecIdx
 	}
-	sort.Ints(hits)
-	sp.end(obs.KV("decided", len(pend)), obs.KV("violations", len(hits)))
-	return hits, last
+	return -1
 }
 
 // statsSince subtracts a baseline snapshot from cumulative solver

@@ -241,22 +241,17 @@ func (e *Engine) solveWithRetries(cn *canceller, solver *smt.Solver, o *obs.Obse
 }
 
 // solveObs bundles the observability hooks of one check solve phase:
-// the all-backends and SAT-only decision-latency histograms, plus the
-// phase span that parents per-FEC solve spans. The zero value no-ops.
+// the SAT decision-latency histogram and the phase span that parents
+// per-FEC solve spans. The zero value no-ops.
 type solveObs struct {
-	hist    *obs.Histogram // check.fec_solve_ns (every complete-backend decision)
 	satHist *obs.Histogram // fec.solve.ns{backend=sat}
 	span    *obs.Span      // parent of per-FEC "fec.solve" spans
 }
 
-// solveObsFor resolves the phase's histograms once, outside the job
+// solveObsFor resolves the phase's histogram once, outside the job
 // loop.
 func solveObsFor(o *obs.Observer, span *obs.Span) solveObs {
-	return solveObs{
-		hist:    o.Histogram("check.fec_solve_ns"),
-		satHist: o.Histogram("fec.solve.ns{backend=sat}"),
-		span:    span,
-	}
+	return solveObs{satHist: o.Histogram("fec.solve.ns{backend=sat}"), span: span}
 }
 
 // decideJob decides one pending Equation-3 query for check, recording
@@ -273,7 +268,6 @@ func (e *Engine) decideJob(cn *canceller, solver *smt.Solver, ctx *checkCtx, j c
 	r := e.solveWithRetries(cn, solver, o, faultinject.CheckSolve, false, j.query)
 	ns := time.Since(t1).Nanoseconds()
 	ctx.solveNS[j.fecIdx] += ns
-	so.hist.Observe(ns)
 	so.satHist.Observe(ns)
 	if r.Outcome == sat.Unknown {
 		ctx.markUnknown(j.fecIdx, r.Reason)

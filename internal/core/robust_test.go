@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -220,69 +221,83 @@ func TestFaultCancelledContextMarksUnknown(t *testing.T) {
 }
 
 // TestFaultWorkerPanicRecovered crashes one parallel check worker on
-// its first job: the survivors must drain the requeue and the result
-// must equal the clean sequential run.
+// its first job, unsharded and inside a shard's fan-out: the survivors
+// must drain the requeue and the result must equal the clean
+// sequential run.
 func TestFaultWorkerPanicRecovered(t *testing.T) {
-	defer faultinject.Reset()
-	want := checkSignature(newRunningEngine(t, findAllOpts()).Check())
+	for _, shards := range []int{1, 4} {
+		t.Run("shards="+strconv.Itoa(shards), func(t *testing.T) {
+			defer faultinject.Reset()
+			want := checkSignature(newRunningEngine(t, findAllOpts()).Check())
 
-	opts := findAllOpts()
-	_, _, m := obsHarness(&opts)
-	faultinject.Schedule(faultinject.CheckSolve, faultinject.Panic, 1)
-	res := newRunningEngine(t, opts).CheckParallel(2)
-	if got := checkSignature(res); got != want {
-		t.Fatalf("panic-recovered parallel check diverged:\n%s\nwant:\n%s", got, want)
-	}
-	if !res.Complete {
-		t.Fatalf("worker crash must not lose verdicts: Unknown=%v", res.Unknown)
-	}
-	if n := m.Snapshot().Counters["worker.panic.recovered"]; n != 1 {
-		t.Fatalf("worker.panic.recovered = %d, want 1", n)
+			opts := findAllOpts()
+			opts.Shards = shards
+			_, _, m := obsHarness(&opts)
+			faultinject.Schedule(faultinject.CheckSolve, faultinject.Panic, 1)
+			res := checkWorkers(newRunningEngine(t, opts), 2)
+			if got := checkSignature(res); got != want {
+				t.Fatalf("panic-recovered parallel check diverged:\n%s\nwant:\n%s", got, want)
+			}
+			if !res.Complete {
+				t.Fatalf("worker crash must not lose verdicts: Unknown=%v", res.Unknown)
+			}
+			if n := m.Snapshot().Counters["worker.panic.recovered"]; n != 1 {
+				t.Fatalf("worker.panic.recovered = %d, want 1", n)
+			}
+		})
 	}
 }
 
 // TestFaultPoolCollapseSequentialFallback kills every parallel worker
-// on its first job (the first W fires are distinct workers' first
-// solves; a crashed worker never fires again) and asserts the
-// sequential fallback finishes the check with a report byte-identical
-// to the one-worker run.
+// on its first job, unsharded and in every shard's fan-out, and asserts
+// the sequential fallback finishes the check with a report
+// byte-identical to the one-worker run. The panics are injected at the
+// worker-job site, which the fallback never fires: with one job per
+// worker, the first W fires are distinct workers' first jobs, and a
+// crashed worker never fires again.
 func TestFaultPoolCollapseSequentialFallback(t *testing.T) {
-	defer faultinject.Reset()
-	ref := newRunningEngine(t, findAllOpts()).Check()
-	want := checkSignature(ref)
-	var wantOut bytes.Buffer
-	(&core.Report{Checks: []*core.CheckResult{ref}}).Print(&wantOut)
+	for _, shards := range []int{1, 4} {
+		t.Run("shards="+strconv.Itoa(shards), func(t *testing.T) {
+			defer faultinject.Reset()
+			ref := newRunningEngine(t, findAllOpts()).Check()
+			want := checkSignature(ref)
+			var wantOut bytes.Buffer
+			(&core.Report{Checks: []*core.CheckResult{ref}}).Print(&wantOut)
 
-	// On a cold engine every solver-decided FEC is one pending job, so
-	// SolvedFECs is the pending-job count — the worker count that gives
-	// each worker exactly one job.
-	workers := ref.SolvedFECs
-	if workers < 2 {
-		t.Fatalf("running example needs >= 2 solver-bound FECs for a pool collapse, got %d", workers)
-	}
-	hits := make([]int64, workers)
-	for i := range hits {
-		hits[i] = int64(i + 1)
-	}
-	opts := findAllOpts()
-	_, _, m := obsHarness(&opts)
-	faultinject.Schedule(faultinject.CheckSolve, faultinject.Panic, hits...)
+			// On a cold engine every solver-decided FEC is one pending
+			// job, so SolvedFECs is the pending-job count — the worker
+			// count that gives each worker exactly one job (a shard's
+			// fan-out caps its pool at the shard's job count).
+			workers := ref.SolvedFECs
+			if workers < 2 {
+				t.Fatalf("running example needs >= 2 solver-bound FECs for a pool collapse, got %d", workers)
+			}
+			hits := make([]int64, workers)
+			for i := range hits {
+				hits[i] = int64(i + 1)
+			}
+			opts := findAllOpts()
+			opts.Shards = shards
+			_, _, m := obsHarness(&opts)
+			faultinject.Schedule(faultinject.ParallelJob, faultinject.Panic, hits...)
 
-	res := newRunningEngine(t, opts).CheckParallel(workers)
-	if got := checkSignature(res); got != want {
-		t.Fatalf("collapsed-pool check diverged:\n%s\nwant:\n%s", got, want)
-	}
-	if !res.Complete {
-		t.Fatalf("fallback must decide everything: Unknown=%v", res.Unknown)
-	}
-	var gotOut bytes.Buffer
-	(&core.Report{Checks: []*core.CheckResult{res}}).Print(&gotOut)
-	if !bytes.Equal(gotOut.Bytes(), wantOut.Bytes()) {
-		t.Fatalf("collapsed-pool report differs from one-worker report:\n%s\nwant:\n%s",
-			gotOut.String(), wantOut.String())
-	}
-	if n := m.Snapshot().Counters["worker.panic.recovered"]; n != int64(workers) {
-		t.Fatalf("worker.panic.recovered = %d, want %d (every worker died once)", n, workers)
+			res := checkWorkers(newRunningEngine(t, opts), workers)
+			if got := checkSignature(res); got != want {
+				t.Fatalf("collapsed-pool check diverged:\n%s\nwant:\n%s", got, want)
+			}
+			if !res.Complete {
+				t.Fatalf("fallback must decide everything: Unknown=%v", res.Unknown)
+			}
+			var gotOut bytes.Buffer
+			(&core.Report{Checks: []*core.CheckResult{res}}).Print(&gotOut)
+			if !bytes.Equal(gotOut.Bytes(), wantOut.Bytes()) {
+				t.Fatalf("collapsed-pool report differs from one-worker report:\n%s\nwant:\n%s",
+					gotOut.String(), wantOut.String())
+			}
+			if n := m.Snapshot().Counters["worker.panic.recovered"]; n != int64(workers) {
+				t.Fatalf("worker.panic.recovered = %d, want %d (every worker died once)", n, workers)
+			}
+		})
 	}
 }
 
@@ -395,7 +410,7 @@ func TestFaultLimitsInertOnHappyPath(t *testing.T) {
 	if got := checkSignature(newRunningEngine(t, opts).Check()); got != want {
 		t.Fatalf("limits changed the sequential result:\n%s\nwant:\n%s", got, want)
 	}
-	if got := checkSignature(newRunningEngine(t, opts).CheckParallel(4)); got != want {
+	if got := checkSignature(checkWorkers(newRunningEngine(t, opts), 4)); got != want {
 		t.Fatalf("limits changed the parallel result:\n%s\nwant:\n%s", got, want)
 	}
 	snap := m.Snapshot()

@@ -2,363 +2,81 @@ package core
 
 import (
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
-	"jinjing/internal/faultinject"
 	"jinjing/internal/obs"
-	"jinjing/internal/sat"
-	"jinjing/internal/smt"
 	"jinjing/internal/topo"
 )
 
-// solveSharded streams the FEC index space through contiguous shards
-// (topo.FECSource.Shards): each shard materializes only its own FEC
-// window, builds its formulas on a private encoder, solves its pending
-// queries (fanning out across the worker pool when Workers > 1), and
-// then releases window, encoder, and clause databases together — so
-// live solver memory is bounded by the largest shard instead of the
-// whole scope. Shards run in ascending FEC order and verdicts land in
-// the same per-FEC states the other solve paths use, so the merged
-// hits, Unknown list, SolvedFECs, and witnesses are identical to the
-// unsharded scan at every shard and worker count: in first-violation
-// mode the global minimum violating FEC necessarily lives in the
-// earliest shard that reports one, which is where the stream stops.
-//
-// The price of the bounded envelope is warm-path work: per-shard
+// windows returns the FEC ranges a check walks, ascending: the whole
+// index space, or on a sharded engine the streaming index's contiguous,
+// weight-balanced shards (topo.FECSource.Shards). Contiguity keeps the
+// global FEC order intact, so merged results need no re-sorting and in
+// first-violation mode the global minimum lives in the earliest window
+// that reports one.
+func (ctx *checkCtx) windows(shards int) []topo.ShardRange {
+	if ctx.src == nil {
+		return []topo.ShardRange{{Lo: 0, Hi: ctx.nfec}}
+	}
+	return ctx.src.Shards(shards)
+}
+
+// openWindow readies FEC range w and returns the session its queries
+// are encoded and decided on. Unsharded, that is the engine's
+// persistent session. A shard materializes only its own FECs and gets a
+// throwaway session — private encoder, prototype, and solvers — that
+// closeWindow drops, so live solver memory is bounded by the largest
+// shard instead of the whole scope. The price is warm-path work: shard
 // formulas cannot outlive their shard, so every call re-encodes the
 // shards it visits (the verdict cache, change-impact analysis, and
 // pre-filter — all builder-independent — still discharge unchanged
 // FECs before any formula is built).
-func (e *Engine) solveSharded(cn *canceller, ctx *checkCtx, res *CheckResult, root *obs.Span, o *obs.Observer, workers int) ([]int, int) {
-	findAll := e.Opts.FindAllViolations
-	shards := ctx.src.Shards(e.Opts.Shards)
-	sp := startPhase(root, res.Timings, "solve")
-	so := solveObsFor(o, sp.sp)
-	task := o.StartTask("check: FECs", int64(ctx.nfec))
-	liveGauge := o.Gauge("shard.live")
-	matGauge := o.Gauge("fec.materialized")
-
-	first := -1 // lowest violating FEC index (first-violation mode)
-	cancelled := false
-	decided := 0
-	materialized := int64(0)
-
-	for _, sr := range shards {
-		if cn.cancelled() {
-			cancelled = true
-			break
-		}
-		// Open the shard: materialize its FEC window and give it a
-		// private encoder. fec.materialized counts FECs materialized
-		// from the lazy source so far (monotone, ends at the scope's
-		// FEC count); shard.live counts shards whose formulas are
-		// currently live — ≤1 by construction, and that bound IS the
-		// memory claim, so it is reported rather than asserted.
-		window := make([]topo.FEC, sr.Hi-sr.Lo)
-		for i := sr.Lo; i < sr.Hi; i++ {
-			window[i-sr.Lo] = ctx.src.Materialize(i)
-		}
-		ctx.window, ctx.winLo = window, sr.Lo
-		ctx.shardEnc = newEncoder(e.Opts.UseTournament, o)
-		materialized += int64(len(window))
-		matGauge.Set(materialized)
-		liveGauge.Set(1)
-
-		// Resolve the shard's FECs in order — the same lazy resolution
-		// (skip, cache replay, pre-filter, pset) the unsharded encode
-		// loop runs, stopping at a replayed violation in
-		// first-violation mode.
-		ctx.resolveSpan = sp.sp
-		stop := sr.Hi
-		replayed := -1
-		for i := sr.Lo; i < sr.Hi; i++ {
-			if cn.cancelled() {
-				for ; i < stop; i++ {
-					if st := ctx.states[i]; st == fecUnresolved || st == fecPending {
-						ctx.markUnknown(i, reasonCancelled)
-					}
-				}
-				cancelled = true
-				break
-			}
-			if e.resolveFEC(ctx, i) == fecViolating && !findAll {
-				replayed = i
-				stop = i + 1
-				break
-			}
-		}
-		ctx.resolveSpan = nil
-		var pend []checkJob
-		for i := sr.Lo; i < stop; i++ {
-			if ctx.states[i] == fecPending {
-				pend = append(pend, ctx.jobs[ctx.jobOf[i]])
-			}
-		}
-		decided += len(pend)
-
-		hit := e.solveShardJobs(cn, ctx, res, o, so, task, pend, workers, findAll)
-		if !findAll {
-			shardFirst := replayed
-			if hit >= 0 && (shardFirst < 0 || hit < shardFirst) {
-				shardFirst = hit
-			}
-			if shardFirst >= 0 && (first < 0 || shardFirst < first) {
-				first = shardFirst
-			}
-		}
-
-		// Sample while the shard's window and builder are both live —
-		// the per-call peak the memory envelope is judged by.
-		if n := int64(ctx.shardEnc.b.NumNodes()); n > ctx.maxNodes {
-			ctx.maxNodes = n
-		}
-		ctx.sampleHeap()
-
-		// Close the shard: release the window, the encoder, and every
-		// job query built on it. Leftover pending states (skipped past
-		// a first violation, or dead on cancellation) drop back to
-		// unresolved — their smt.F handles point into the released
-		// builder and must never be replayed; a later call re-resolves
-		// them from scratch. All such indices lie beyond the scan's
-		// answer, so the reported counts are untouched.
-		ctx.window, ctx.shardEnc = nil, nil
-		ctx.winLo = 0
-		liveGauge.Set(0)
-		for i := sr.Lo; i < sr.Hi; i++ {
-			ctx.jobOf[i] = -1
-			if ctx.states[i] == fecPending {
-				ctx.states[i] = fecUnresolved
-			}
-		}
-		ctx.jobs = ctx.jobs[:0]
-		ctx.protoJobs = 0
-
-		if cancelled || (!findAll && first >= 0) {
-			break
-		}
+//
+// fec.materialized counts the FECs materialized from the lazy source
+// so far (windows are contiguous from 0, so that is w.Hi); shard.live
+// counts shards whose formulas are live — ≤1 by construction, and that
+// bound IS the memory claim, so it is reported rather than asserted.
+func (ctx *checkCtx) openWindow(w topo.ShardRange, tournament bool, o *obs.Observer) *checkSession {
+	if ctx.src == nil {
+		return ctx.sess
 	}
-	task.Done()
-
-	// Merge deterministically from the per-FEC states, exactly as the
-	// unsharded paths do.
-	last := ctx.nfec - 1
-	if !findAll && first >= 0 {
-		last = first
+	ctx.window = make([]topo.FEC, w.Hi-w.Lo)
+	for i := range ctx.window {
+		ctx.window[i] = ctx.src.Materialize(w.Lo + i)
 	}
-	if cancelled {
-		// Shards never opened (or abandoned mid-stream) hold FECs the
-		// scan semantically examined but could not decide: Unknown, as
-		// in the unsharded cancellation paths.
-		for i := 0; i <= last; i++ {
-			if st := ctx.states[i]; st == fecUnresolved || st == fecPending {
-				ctx.markUnknown(i, reasonCancelled)
-			}
-		}
-	}
-	var hits []int
-	if findAll {
-		for i := 0; i < ctx.nfec; i++ {
-			if ctx.states[i] == fecViolating {
-				hits = append(hits, i)
-			}
-		}
-	} else if first >= 0 {
-		hits = []int{first}
-	}
-	sort.Ints(hits)
-	sp.end(obs.KV("decided", decided), obs.KV("violations", len(hits)),
-		obs.KV("shards", len(shards)))
-	return hits, last
+	ctx.winLo = w.Lo
+	ctx.shard = &checkSession{enc: newEncoder(tournament, o)}
+	o.Gauge("fec.materialized").Set(int64(w.Hi))
+	o.Gauge("shard.live").Set(1)
+	return ctx.shard
 }
 
-// solveShardJobs decides one shard's pending queries. It is the shard-
-// local counterpart of solveParallel's fan-out: workers fork a
-// prototype clausified on the shard's private builder, solve static
-// slices (find-all) or pull dynamically past-the-hit-skipping jobs
-// (first-violation), requeue on panic, and fall back to a sequential
-// sweep if the pool collapses. Nothing persists across shards — forks,
-// prototype, and learned clauses die with the shard's builder, which is
-// the point. Returns the lowest violating FEC index decided here, or -1
-// (meaningful only in first-violation mode).
-func (e *Engine) solveShardJobs(cn *canceller, ctx *checkCtx, res *CheckResult, o *obs.Observer, so solveObs, task *obs.Task, pend []checkJob, workers int, findAll bool) int {
-	if len(pend) == 0 {
-		return -1
+// closeWindow folds the window's builder size into the call's maximum
+// and, for a shard, samples the heap while its window and builder are
+// both live — the per-call peak the memory envelope is judged by — then
+// releases the window, the session, and every job query built on it.
+// Leftover pending states (skipped past a first violation) drop back to
+// unresolved: their smt.F handles point into the released builder and
+// must never be replayed; a later call re-resolves them from scratch.
+// All such indices lie beyond the scan's answer, so the reported counts
+// are untouched.
+func (ctx *checkCtx) closeWindow(w topo.ShardRange, s *checkSession, o *obs.Observer) {
+	if n := int64(s.enc.b.NumNodes()); n > ctx.maxNodes {
+		ctx.maxNodes = n
 	}
-	if workers > len(pend) {
-		workers = len(pend)
+	if ctx.shard == nil {
+		return
 	}
-	if workers <= 1 {
-		solver := smt.SolverOn(ctx.shardEnc.b)
-		cn.register(solver)
-		base := solver.Stats()
-		hit := -1
-		for _, j := range pend {
-			gotVerdict, satisfiable := e.decideJob(cn, solver, ctx, j, o, so)
-			if gotVerdict {
-				task.Add(1)
-			}
-			if gotVerdict && satisfiable && !findAll {
-				hit = j.fecIdx
-				break
-			}
-		}
-		recordSolverStats(o, &res.SolverStats, statsSince(solver.Stats(), base))
-		return hit
-	}
-
-	proto := smt.SolverOn(ctx.shardEnc.b)
-	for _, j := range pend {
-		proto.EnsureClausified(j.query)
-	}
-	var (
-		next   atomic.Int64
-		minHit atomic.Int64
-		mu     sync.Mutex
-		agg    sat.Stats
-		wg     sync.WaitGroup
-	)
-	minHit.Store(int64(len(pend)))
-
-	var (
-		reqMu   sync.Mutex
-		requeue []int
-	)
-	pushRequeue := func(ks ...int) {
-		reqMu.Lock()
-		requeue = append(requeue, ks...)
-		reqMu.Unlock()
-	}
-	popRequeue := func() (int, bool) {
-		reqMu.Lock()
-		defer reqMu.Unlock()
-		if len(requeue) == 0 {
-			return 0, false
-		}
-		k := requeue[len(requeue)-1]
-		requeue = requeue[:len(requeue)-1]
-		return k, true
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			solver := proto.Fork()
-			cn.register(solver)
-			base := solver.Stats()
-			crashed := false
-			runJob := func(k int) (ok bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						o.Counter("worker.panic.recovered").Inc()
-						ok = false
-					}
-				}()
-				if faultinject.Fire(faultinject.ParallelJob) == faultinject.Panic {
-					panic("faultinject: injected panic at " + string(faultinject.ParallelJob))
-				}
-				decided, satisfiable := e.decideJob(cn, solver, ctx, pend[k], o, so)
-				task.Add(1)
-				if decided && satisfiable && !findAll {
-					for {
-						cur := minHit.Load()
-						if int64(k) >= cur || minHit.CompareAndSwap(cur, int64(k)) {
-							break
-						}
-					}
-				}
-				return true
-			}
-			if findAll {
-				n := len(pend)
-				lo, hi := w*n/workers, (w+1)*n/workers
-				for k := lo; k < hi; k++ {
-					if !runJob(k) {
-						rest := make([]int, 0, hi-k)
-						for j := k; j < hi; j++ {
-							rest = append(rest, j)
-						}
-						pushRequeue(rest...)
-						crashed = true
-						break
-					}
-				}
-				if !crashed {
-					for {
-						k, fromQueue := popRequeue()
-						if !fromQueue {
-							break
-						}
-						if !runJob(k) {
-							pushRequeue(k)
-							break
-						}
-					}
-				}
-			} else {
-				for {
-					k, fromQueue := popRequeue()
-					if !fromQueue {
-						k = int(next.Add(1)) - 1
-						if k >= len(pend) {
-							break
-						}
-					}
-					if int64(k) > minHit.Load() {
-						continue
-					}
-					if !runJob(k) {
-						pushRequeue(k)
-						break
-					}
-				}
-			}
-			mu.Lock()
-			agg.Add(statsSince(solver.Stats(), base))
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-
-	// Sequential fallback on the shard's builder: finish anything the
-	// (possibly collapsed) pool left pending, with no panic recovery —
-	// a deterministic crash should surface, not loop.
-	var seqSolver *smt.Solver
-	var seqBase sat.Stats
-	for k := range pend {
-		if ctx.states[pend[k].fecIdx] != fecPending {
-			continue
-		}
-		if !findAll && int64(k) > minHit.Load() {
-			continue
-		}
-		if cn.cancelled() {
-			ctx.markUnknown(pend[k].fecIdx, reasonCancelled)
-			continue
-		}
-		if seqSolver == nil {
-			seqSolver = smt.SolverOn(ctx.shardEnc.b)
-			cn.register(seqSolver)
-			seqBase = seqSolver.Stats()
-		}
-		decided, satisfiable := e.decideJob(cn, seqSolver, ctx, pend[k], o, so)
-		task.Add(1)
-		if decided && satisfiable && !findAll {
-			if cur := minHit.Load(); int64(k) < cur {
-				minHit.Store(int64(k))
-			}
+	ctx.sampleHeap()
+	ctx.window, ctx.winLo, ctx.shard = nil, 0, nil
+	o.Gauge("shard.live").Set(0)
+	for i := w.Lo; i < w.Hi; i++ {
+		ctx.jobOf[i] = -1
+		if ctx.states[i] == fecPending {
+			ctx.states[i] = fecUnresolved
 		}
 	}
-	if seqSolver != nil {
-		agg.Add(statsSince(seqSolver.Stats(), seqBase))
-	}
-	recordSolverStats(o, &res.SolverStats, agg)
-	if h := minHit.Load(); h < int64(len(pend)) {
-		return pend[h].fecIdx
-	}
-	return -1
+	ctx.jobs = ctx.jobs[:0]
+	ctx.protoJobs = 0
 }
 
 // sampleHeap folds the current live-heap size into the call's peak.

@@ -362,9 +362,9 @@ func Fig4dOpen(sizes []netgen.Size, perDevice []int) []GenerateRow {
 }
 
 // ParallelRow is one parallel-check measurement: the same workload run
-// sequentially (workers=1, via Check) and fanned out across a worker
-// pool (via CheckParallel), with the encoder-cache traffic captured
-// from a per-row metrics registry.
+// sequentially (workers=1) and fanned out across a worker pool
+// (Options.Workers > 1), with the encoder-cache traffic captured from a
+// per-row metrics registry.
 type ParallelRow struct {
 	Size       netgen.Size `json:"size"`
 	PerturbPct float64     `json:"perturb_pct"`
@@ -434,6 +434,7 @@ func FigParallelCheck(sizes []netgen.Size, workerCounts []int) []ParallelRow {
 			opts.UseDifferential = false
 			opts.UseTournament = true
 			opts.FindAllViolations = true
+			opts.Workers = workers
 			m := obs.NewMetrics()
 			opts.Obs = obs.NewObserver(nil, m, nil)
 			e := core.New(w.Net, after, w.Scope, opts)
@@ -442,12 +443,7 @@ func FigParallelCheck(sizes []netgen.Size, workerCounts []int) []ParallelRow {
 		}
 		call := func(c *cell) (*core.CheckResult, time.Duration) {
 			t0 := time.Now()
-			var res *core.CheckResult
-			if c.workers <= 1 {
-				res = c.e.Check()
-			} else {
-				res = c.e.CheckParallel(c.workers)
-			}
+			res := c.e.Check()
 			return res, time.Since(t0)
 		}
 		for _, c := range cells {
@@ -1118,6 +1114,7 @@ func FigShardCheck(sizes []netgen.Size, shardCounts []int) []ShardRow {
 			opts.UseTournament = true
 			opts.FindAllViolations = true
 			opts.Shards = shards
+			opts.Workers = workers
 			e := core.New(w.Net, after, w.Scope, opts)
 			e.NumFECs()
 
@@ -1126,7 +1123,7 @@ func FigShardCheck(sizes []netgen.Size, shardCounts []int) []ShardRow {
 			var elapsed time.Duration
 			peak := sampleHeapDuring(func() {
 				t0 := time.Now()
-				res = e.CheckParallel(workers)
+				res = e.Check()
 				elapsed = time.Since(t0)
 			})
 			if res.PeakHeapBytes > peak {

@@ -70,7 +70,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 // TestConcurrentInstruments hammers one counter, gauge, histogram, and
 // sink from many goroutines; run under -race this is the thread-safety
-// guard for the CheckParallel workers.
+// guard for the parallel check workers.
 func TestConcurrentInstruments(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(NewJSONLSink(&buf))
