@@ -171,3 +171,40 @@ func TestMaintainShieldsFromIsolate(t *testing.T) {
 		t.Fatalf("counterexample should be traffic 2: %+v", res.Violations)
 	}
 }
+
+// TestEnginePathsUnderControlPrefixes pins the engine's path walk to
+// AllPaths when control prefixes refine the classes: refinement splits
+// classes without changing any LPM result, so the path set — which the
+// snapshot digest and shard windows depend on — must stay hop for hop
+// the same.
+func TestEnginePathsUnderControlPrefixes(t *testing.T) {
+	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 2))
+	e0 := w.EdgePrefixes[w.EdgeNames[0]][0]
+	lo, _ := e0.Halves()
+	var controls []core.Control
+	for _, p := range []header.Prefix{lo, pfx("10.0.0.0/12"), pfx("8.128.0.0/9"), pfx("192.168.0.0/16")} {
+		controls = append(controls, core.Control{
+			From: map[string]bool{}, To: map[string]bool{},
+			Mode: core.Isolate, Match: header.DstMatch(p),
+		})
+	}
+	e := core.New(w.Net, w.Net, w.Scope, core.DefaultOptions())
+	e.Controls = controls
+	if got, plain := len(e.Classes()), len(w.Net.EnteringTraffic(w.Scope)); got <= plain {
+		t.Fatalf("controls should refine the classes: %d vs %d unrefined", got, plain)
+	}
+	got, want := e.Paths(), w.Net.AllPaths(w.Scope)
+	if len(got) != len(want) {
+		t.Fatalf("engine walk found %d paths, AllPaths %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i].Hops) != len(want[i].Hops) {
+			t.Fatalf("path %d: %v vs %v", i, got[i], want[i])
+		}
+		for k, h := range want[i].Hops {
+			if got[i].Hops[k] != h {
+				t.Fatalf("path %d hop %d: %v vs %v", i, k, got[i], want[i])
+			}
+		}
+	}
+}

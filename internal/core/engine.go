@@ -214,10 +214,13 @@ type Engine struct {
 	// paths and classes are computed lazily and shared across primitives.
 	paths   []topo.Path
 	classes []header.Prefix
+	// pathFwd holds, per path, the classes the forwarding walk found it
+	// forwards, from Paths until fecSource groups classes from it.
+	pathFwd [][]int32
 	fecs    []topo.FEC
-	// fecSrc is the streaming FEC index used instead of fecs when
-	// Opts.Shards > 1; Before-derived, so it is shared with derived
-	// verification engines and survives UpdateAfter.
+	// fecSrc is the FEC index: fecs materializes it, and Opts.Shards > 1
+	// streams from it instead. Before-derived, so it is shared with
+	// derived verification engines and survives UpdateAfter.
 	fecSrc *topo.FECSource
 
 	// depIdx is the lazily built dependency index (binding ID -> FEC
@@ -298,16 +301,21 @@ func (e *Engine) derived(after *topo.Network, parent *obs.Span) *Engine {
 	return &Engine{
 		Before: e.Before, After: after, Scope: e.Scope,
 		Controls: e.Controls, Opts: opts, parentSpan: parent,
-		paths: e.paths, classes: e.classes, fecs: e.fecs,
+		paths: e.paths, pathFwd: e.pathFwd, classes: e.classes, fecs: e.fecs,
 		fecSrc: e.fecSrc, depIdx: e.depIdx, slotIdx: e.slotIdx,
 		sess: e.sess,
 	}
 }
 
-// Paths returns the structural path set P_Ω, computed once.
+// Paths returns the structural path set P_Ω, computed once by a walk
+// of the routing DAG over Classes(). Refining classes by control
+// prefixes cannot change the set (Before.AllPaths(Scope) walks the
+// unrefined classes to the same paths), but walking the engine's own
+// classes lets the walk record which classes each path forwards, so
+// fecSource needs no second pass over the paths.
 func (e *Engine) Paths() []topo.Path {
 	if e.paths == nil {
-		e.paths = e.Before.AllPaths(e.Scope)
+		e.paths, e.pathFwd = e.Before.WalkPaths(e.Scope, e.Classes())
 	}
 	return e.paths
 }
@@ -337,7 +345,7 @@ func (e *Engine) Classes() []header.Prefix {
 // traffic.
 func (e *Engine) FECs() []topo.FEC {
 	if e.fecs == nil {
-		e.fecs = topo.ComputeFECs(e.Paths(), e.Classes())
+		e.fecs = e.fecSource().FECs()
 		if !e.sharded() && e.Opts.Verdicts != nil {
 			// Derive the binding slot index alongside the FEC structure it
 			// mirrors: both are fixed for the engine's lifetime, and doing
@@ -352,12 +360,14 @@ func (e *Engine) FECs() []topo.FEC {
 // sharded reports whether Check streams through FEC shards.
 func (e *Engine) sharded() bool { return e.Opts.Shards > 1 }
 
-// fecSource returns the streaming FEC index, built once. It yields the
-// same FECs in the same order as FECs() but stores only index vectors;
-// FEC values are materialized per shard.
+// fecSource returns the FEC index, built once from the path walk's
+// per-path class sets, which it then releases. It stores only index
+// vectors; FECs() materializes every FEC from it, and sharded checks
+// materialize one shard at a time.
 func (e *Engine) fecSource() *topo.FECSource {
 	if e.fecSrc == nil {
-		e.fecSrc = topo.NewFECSource(e.Paths(), e.Classes())
+		e.fecSrc = topo.NewFECSource(e.Paths(), e.Classes(), e.pathFwd)
+		e.pathFwd = nil
 	}
 	return e.fecSrc
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"jinjing/internal/acl"
 	"jinjing/internal/faultinject"
@@ -142,21 +141,12 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	sp := startPhase(root, res.Timings, "solve")
 	task := o.StartTask("generate: AECs", int64(len(aecs)))
 	paths := e.Paths()
-	var fwdMu sync.Mutex
-	fwdCache := map[header.Prefix][]topo.Path{}
-	fwdFor := func(dst header.Prefix) []topo.Path {
-		// The memo is keyed by destination prefix and its values are
-		// deterministic, so it doesn't matter which worker fills an
-		// entry first.
-		fwdMu.Lock()
-		defer fwdMu.Unlock()
-		if p, ok := fwdCache[dst]; ok {
-			return p
-		}
-		p := topo.PathsForClass(paths, dst)
-		fwdCache[dst] = p
-		return p
-	}
+	// The DEC split groups classes by the FEC their destination lies in
+	// (same FEC, same forwarding paths). The index is built here, before
+	// the fan-out; workers only read it and never touch the devices'
+	// unsynchronized LPM memo.
+	fecOf := e.dstFECOf()
+	fecSrc := e.fecSource()
 	type aecOutcome struct {
 		decSplit   bool
 		stats      sat.Stats
@@ -178,21 +168,20 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 			return out
 		}
 		// DEC split: group the AEC's classes by forwarding behavior.
+		// Classes no path forwards share one group with no paths.
 		out.decSplit = true
-		groups := map[string]*decGroup{}
-		var order []string
+		groups := map[int]*decGroup{}
+		var order []int
 		for _, c := range a.classes {
-			fp := fwdFor(c.Dst)
-			keyParts := make([]string, len(fp))
-			for i, p := range fp {
-				keyParts[i] = p.Key()
-			}
-			key := strings.Join(keyParts, "|")
-			g, ok := groups[key]
+			fi := fecOf(c.Dst)
+			g, ok := groups[fi]
 			if !ok {
-				g = &decGroup{paths: fp}
-				groups[key] = g
-				order = append(order, key)
+				g = &decGroup{}
+				if fi >= 0 {
+					g.paths = fecSrc.Paths(fi)
+				}
+				groups[fi] = g
+				order = append(order, fi)
 			}
 			g.classes = append(g.classes, c)
 		}
@@ -304,6 +293,25 @@ func (e *Engine) GenerateContext(callCtx context.Context, sources []topo.ACLBind
 	root.SetAttr("verified", res.Verified)
 	e.logGenerateDecision(ls, res, nil)
 	return res, nil
+}
+
+// dstFECOf returns a lookup from a generate class's destination atom to
+// the index of the FEC that holds it, or -1 when no path forwards it.
+// The atoms refine Classes() (their cuts include every FIB and control
+// prefix), so each lies inside at most one class and shares its LPM
+// result at every device; an atom inside no class is routed nowhere in
+// the scope.
+func (e *Engine) dstFECOf() func(header.Prefix) int {
+	src, classes := e.fecSource(), e.Classes()
+	return func(dst header.Prefix) int {
+		// Classes are disjoint and sorted by address, so the only one
+		// that can contain dst is the last one starting at or before it.
+		i := sort.Search(len(classes), func(i int) bool { return classes[i].Addr > dst.Addr }) - 1
+		if i < 0 || !classes[i].Contains(dst) {
+			return -1
+		}
+		return src.FECOf(i)
+	}
 }
 
 // deriveAECs groups classes by their decision vector across the original

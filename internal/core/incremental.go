@@ -375,13 +375,9 @@ func (e *Engine) depIndex() map[string][]int {
 		}
 		if e.sharded() {
 			// Stream over the index vectors: no FEC materialization.
-			src, paths := e.fecSource(), e.Paths()
+			src := e.fecSource()
 			for i := 0; i < src.NumFECs(); i++ {
-				fecPaths := make([]topo.Path, 0, len(src.PathIndices(i)))
-				for _, pi := range src.PathIndices(i) {
-					fecPaths = append(fecPaths, paths[pi])
-				}
-				add(i, fecPaths)
+				add(i, src.Paths(i))
 			}
 		} else {
 			for i, fec := range e.FECs() {

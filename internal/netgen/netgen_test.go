@@ -58,7 +58,7 @@ func TestRoutingReachability(t *testing.T) {
 	}
 	for _, en := range w.EdgeNames {
 		for _, p := range w.EdgePrefixes[en] {
-			fwd := topo.PathsForClass(paths, p)
+			fwd := pathsForClass(paths, p)
 			var fromEdge, fromCore bool
 			for _, path := range fwd {
 				if path.Dst().Device.Name != en {
@@ -79,7 +79,7 @@ func TestRoutingReachability(t *testing.T) {
 		}
 	}
 	// External prefix must leave through core uplinks.
-	ext := topo.PathsForClass(paths, w.External)
+	ext := pathsForClass(paths, w.External)
 	if len(ext) == 0 {
 		t.Fatal("external prefix unreachable")
 	}
@@ -183,4 +183,15 @@ func TestScopeCoversAllDevices(t *testing.T) {
 	if len(borders) != w.Config.Edges+w.Config.Cores {
 		t.Errorf("borders = %d, want ext+up = %d", len(borders), w.Config.Edges+w.Config.Cores)
 	}
+}
+
+// pathsForClass returns the paths that forward the class.
+func pathsForClass(paths []topo.Path, class header.Prefix) []topo.Path {
+	var out []topo.Path
+	for _, p := range paths {
+		if p.ForwardsClass(class) {
+			out = append(out, p)
+		}
+	}
+	return out
 }

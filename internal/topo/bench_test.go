@@ -34,13 +34,17 @@ func BenchmarkAllPathsWAN(b *testing.B) {
 	}
 }
 
-func BenchmarkComputeFECs(b *testing.B) {
+// BenchmarkDeriveFECs measures the whole FEC derivation the engine
+// runs: one forwarding walk for paths and per-path class sets, then the
+// grouping.
+func BenchmarkDeriveFECs(b *testing.B) {
 	w := netgen.Build(netgen.DefaultConfig(netgen.Medium, 1))
-	paths := w.Net.AllPaths(w.Scope)
 	classes := w.Net.EnteringTraffic(w.Scope)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(topo.ComputeFECs(paths, classes)) == 0 {
+		paths, fwd := w.Net.WalkPaths(w.Scope, classes)
+		if topo.NewFECSource(paths, classes, fwd).NumFECs() == 0 {
 			b.Fatal("no FECs")
 		}
 	}

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"sort"
-	"strings"
 
 	"jinjing/internal/header"
 )
@@ -133,36 +132,3 @@ type FEC struct {
 
 // Representative returns the exemplar class [h]_FEC.
 func (f FEC) Representative() header.Prefix { return f.Classes[0] }
-
-// ComputeFECs groups atomized traffic classes into forwarding equivalence
-// classes using the structural path set: two classes are equivalent iff
-// the same subset of paths forwards them (Equation 2 specialized to
-// destination-based forwarding). Classes forwarded by no path are
-// dropped — they never transit the scope.
-func ComputeFECs(paths []Path, classes []header.Prefix) []FEC {
-	groups := make(map[string]*FEC)
-	var order []string
-	for _, c := range classes {
-		fwd := PathsForClass(paths, c)
-		if len(fwd) == 0 {
-			continue
-		}
-		keyParts := make([]string, len(fwd))
-		for i, p := range fwd {
-			keyParts[i] = p.Key()
-		}
-		key := strings.Join(keyParts, "|")
-		g, ok := groups[key]
-		if !ok {
-			g = &FEC{Paths: fwd}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.Classes = append(g.Classes, c)
-	}
-	out := make([]FEC, 0, len(groups))
-	for _, key := range order {
-		out = append(out, *groups[key])
-	}
-	return out
-}

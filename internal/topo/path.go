@@ -84,8 +84,23 @@ const maxPathDevices = 12
 // egress interface that either leaves the scope (ending the path) or
 // links to another in-scope device. Results are deterministic.
 func (n *Network) AllPaths(s *Scope) []Path {
-	classes := n.EnteringTraffic(s)
-	var out []Path
+	paths, _ := n.WalkPaths(s, n.EnteringTraffic(s))
+	return paths
+}
+
+// WalkPaths is AllPaths over the given destination classes, returning
+// with each path the ascending indices of the classes it forwards (the
+// 𝒴 sets of Algorithm 1, read off the walk rather than re-scanned per
+// class). The classes must be atomic with respect to every in-scope FIB:
+// EnteringTraffic's output or a refinement of it. A refinement yields
+// the same path set, because every refined class has its parent's LPM
+// result at every device; NewFECSource groups the classes from the sets.
+func (n *Network) WalkPaths(s *Scope, classes []header.Prefix) ([]Path, [][]int32) {
+	w := &pathWalk{n: n, s: s, classes: classes, devs: map[*Device]*walkDevice{}}
+	all := make([]int32, len(classes))
+	for i := range all {
+		all[i] = int32(i)
+	}
 	for _, entry := range n.BorderInterfaces(s) {
 		if !s.AllowsEntry(entry.ID()) {
 			continue
@@ -96,51 +111,132 @@ func (n *Network) AllPaths(s *Scope) []Path {
 		if up != nil && s.ContainsDevice(up.Device.Name) {
 			continue // this border interface only sends traffic out
 		}
-		visited := map[string]bool{}
-		n.extendPaths(s, entry, visited, nil, classes, &out)
+		w.extend(entry, all)
 	}
-	return out
+	return w.paths, w.fwd
 }
 
-// extendPaths extends a partial path entering dev through in. alive is
-// the set of traffic classes the forwarding tables could still route
-// along the partial path; a branch with no alive classes is pruned.
-func (n *Network) extendPaths(s *Scope, in *Interface, visited map[string]bool, hops []Hop, alive []header.Prefix, out *[]Path) {
-	dev := in.Device
-	if visited[dev.Name] || len(hops) >= maxPathDevices {
-		return
-	}
-	visited[dev.Name] = true
-	defer delete(visited, dev.Name)
+// pathWalk is the state of one WalkPaths call.
+type pathWalk struct {
+	n       *Network
+	s       *Scope
+	classes []header.Prefix
+	devs    map[*Device]*walkDevice
+	hops    []Hop // the partial path, reused across branches
+	paths   []Path
+	fwd     [][]int32 // per path: ascending indices of the classes it forwards
+}
 
-	for _, o := range dev.SortedInterfaces() {
-		if o == in {
-			continue
-		}
-		// Keep only the classes this device actually forwards to o.
-		var next []header.Prefix
-		for _, c := range alive {
-			for _, lpmOut := range dev.LongestMatchClass(c) {
-				if lpmOut == o {
-					next = append(next, c)
-					break
-				}
+// walkDevice is a device's state for the length of one walk: its
+// interfaces in name order, where each one leads, and the memoized LPM
+// egress of every class that has reached it.
+type walkDevice struct {
+	dev    *Device
+	ifaces []*Interface
+	peers  []*Interface // peers[k] is the ingress ifaces[k] links to
+	exits  []bool       // exits[k]: leaving through ifaces[k] leaves the scope
+	pos    map[*Interface]int32
+	egress [][]int32 // per class: positions in ifaces of its LPM egress set
+	known  []bool    // per class: egress is computed
+	onPath bool
+}
+
+func (w *pathWalk) device(d *Device) *walkDevice {
+	if wd, ok := w.devs[d]; ok {
+		return wd
+	}
+	wd := &walkDevice{
+		dev:    d,
+		ifaces: d.SortedInterfaces(),
+		pos:    make(map[*Interface]int32, len(d.Interfaces)),
+		egress: make([][]int32, len(w.classes)),
+		known:  make([]bool, len(w.classes)),
+	}
+	wd.peers = make([]*Interface, len(wd.ifaces))
+	wd.exits = make([]bool, len(wd.ifaces))
+	for k, o := range wd.ifaces {
+		wd.pos[o] = int32(k)
+		peer := w.n.Peer(o)
+		wd.peers[k] = peer
+		// A network edge or an out-of-scope peer ends the path.
+		wd.exits[k] = peer == nil || !w.s.ContainsDevice(peer.Device.Name)
+	}
+	w.devs[d] = wd
+	return wd
+}
+
+// egressOf returns the positions of class ci's LPM egress interfaces on
+// the device, ECMP duplicates removed.
+func (w *pathWalk) egressOf(wd *walkDevice, ci int32) []int32 {
+	if !wd.known[ci] {
+		var ks []int32
+		for _, o := range wd.dev.LongestMatchClass(w.classes[ci]) {
+			if k, ok := wd.pos[o]; ok && !containsIdx(ks, k) {
+				ks = append(ks, k)
 			}
 		}
-		if len(next) == 0 {
+		wd.egress[ci], wd.known[ci] = ks, true
+	}
+	return wd.egress[ci]
+}
+
+func containsIdx(s []int32, v int32) bool {
+	for _, x := range s {
+		if x == v {
+			return true
+		}
+	}
+	return false
+}
+
+// extend extends the partial path w.hops entering in's device through
+// in. alive holds, ascending, the classes the forwarding tables route
+// along the partial path; a branch with no alive classes is pruned.
+func (w *pathWalk) extend(in *Interface, alive []int32) {
+	wd := w.device(in.Device)
+	if wd.onPath || len(w.hops) >= maxPathDevices {
+		return
+	}
+	wd.onPath = true
+	defer func() { wd.onPath = false }()
+
+	// Bucket the alive classes by the egress this device forwards them
+	// to: one LPM lookup per class per visit. Each bucket is a capped
+	// window of one allocation, so buckets never overwrite each other,
+	// and it stays ascending because alive is.
+	counts := make([]int32, len(wd.ifaces)+1)
+	for _, ci := range alive {
+		for _, k := range w.egressOf(wd, ci) {
+			counts[k+1]++
+		}
+	}
+	for k := range wd.ifaces {
+		counts[k+1] += counts[k]
+	}
+	flat := make([]int32, counts[len(wd.ifaces)])
+	buckets := make([][]int32, len(wd.ifaces))
+	for k := range buckets {
+		buckets[k] = flat[counts[k]:counts[k]:counts[k+1]]
+	}
+	for _, ci := range alive {
+		for _, k := range w.egressOf(wd, ci) {
+			buckets[k] = append(buckets[k], ci)
+		}
+	}
+
+	for k, o := range wd.ifaces {
+		next := buckets[k]
+		if o == in || len(next) == 0 {
 			continue
 		}
-		peer := n.Peer(o)
-		cur := append(append([]Hop(nil), hops...), Hop{In: in, Out: o})
-		switch {
-		case peer == nil:
-			// Network edge: the path leaves the scope here.
-			*out = append(*out, Path{Hops: cur})
-		case !s.ContainsDevice(peer.Device.Name):
-			*out = append(*out, Path{Hops: cur})
-		default:
-			n.extendPaths(s, peer, visited, cur, next, out)
+		w.hops = append(w.hops, Hop{In: in, Out: o})
+		if wd.exits[k] {
+			w.paths = append(w.paths, Path{Hops: append([]Hop(nil), w.hops...)})
+			w.fwd = append(w.fwd, next)
+		} else {
+			w.extend(wd.peers[k], next)
 		}
+		w.hops = w.hops[:len(w.hops)-1]
 	}
 }
 
@@ -163,18 +259,6 @@ func (p Path) ForwardsClass(class header.Prefix) bool {
 		}
 	}
 	return true
-}
-
-// PathsForClass returns the subset of paths that forward the class (the
-// 𝒴 sets of Algorithm 1 and §5.3).
-func PathsForClass(paths []Path, class header.Prefix) []Path {
-	var out []Path
-	for _, p := range paths {
-		if p.ForwardsClass(class) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Validate performs structural sanity checks on a path.

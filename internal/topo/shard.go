@@ -2,65 +2,82 @@ package topo
 
 import "jinjing/internal/header"
 
-// FECSource is a streaming equivalent of ComputeFECs: it performs the
-// same grouping of atomized traffic classes by forwarding behavior
-// (Equation 2 specialized to destination-based forwarding), but stores
-// only index vectors into the shared paths/classes slices instead of
-// materialized FEC values. A scope with F FECs over C classes and P
-// paths costs O(C + Σ|paths per FEC|) int32s to index, while the
-// FEC values themselves are materialized one at a time (Materialize) or
-// one contiguous shard window at a time (Shards), bounding live memory
-// by the largest shard rather than the whole scope.
+// FECSource groups atomized traffic classes into forwarding
+// equivalence classes (§4.1): two classes are equivalent iff the same
+// paths forward them (Equation 2 specialized to destination-based
+// forwarding). It stores only index vectors into the shared
+// paths/classes slices, not materialized FEC values: a scope with F FECs
+// over C classes and P paths costs O(C + Σ|paths per FEC|) int32s to
+// index, while the FEC values themselves are materialized one at a time
+// (Materialize), all at once (FECs), or one contiguous shard window at a
+// time (Shards), bounding live memory by the largest shard rather than
+// the whole scope.
 //
-// The FEC order, per-FEC class order, and per-FEC path order are
-// identical to ComputeFECs: classes are scanned in order, groups appear
-// in first-seen order, and a group's paths are the forwarding subset of
-// the first member class (all members forward the same subset, by
-// construction). ComputeFECs keys groups on the joined Path.Key()
-// strings; grouping on path-index sequences is equivalent because the
-// structural path set never contains two distinct walks with the same
-// interface sequence (a path is its interface sequence). This
-// equivalence is pinned by TestFECSourceMatchesComputeFECs.
+// FECs appear in first-seen class order; a FEC's classes are ascending
+// and its paths are in path order. Grouping on path-index vectors is
+// grouping on path sets because the walk never yields two paths with
+// the same interface sequence.
 type FECSource struct {
 	paths   []Path
 	classes []header.Prefix
 
 	classIdx [][]int32 // per FEC: ascending indices into classes
 	pathIdx  [][]int32 // per FEC: ascending indices into paths
+	classFEC []int32   // per class: its FEC, or -1 when no path forwards it
 }
 
-// NewFECSource scans classes once and groups them into FECs by the set
-// of structural paths that forward them. Classes forwarded by no path
-// are dropped, exactly as in ComputeFECs.
-func NewFECSource(paths []Path, classes []header.Prefix) *FECSource {
-	s := &FECSource{paths: paths, classes: classes}
-	buckets := make(map[uint64][]int)
-	var fwd []int32
-	for ci, c := range classes {
-		fwd = fwd[:0]
-		for pi := range paths {
-			if paths[pi].ForwardsClass(c) {
-				fwd = append(fwd, int32(pi))
-			}
+// NewFECSource groups classes into FECs from the per-path class sets of
+// a forwarding walk (WalkPaths): fwd[pi] lists, ascending, the indices
+// of the classes paths[pi] forwards. The sets are inverted into one
+// path vector per class, and classes are grouped by equal vectors.
+// Classes forwarded by no path are dropped — they never transit the
+// scope. fwd is not retained.
+func NewFECSource(paths []Path, classes []header.Prefix, fwd [][]int32) *FECSource {
+	// Invert fwd into per-class path vectors, stored back to back:
+	// class ci's vector is flat[start[ci]:start[ci+1]], ascending
+	// because paths are visited in order.
+	start := make([]int32, len(classes)+1)
+	for _, cs := range fwd {
+		for _, ci := range cs {
+			start[ci+1]++
 		}
-		if len(fwd) == 0 {
+	}
+	for ci := range classes {
+		start[ci+1] += start[ci]
+	}
+	flat := make([]int32, start[len(classes)])
+	fill := append([]int32(nil), start[:len(classes)]...)
+	for pi, cs := range fwd {
+		for _, ci := range cs {
+			flat[fill[ci]] = int32(pi)
+			fill[ci]++
+		}
+	}
+
+	s := &FECSource{paths: paths, classes: classes, classFEC: make([]int32, len(classes))}
+	buckets := make(map[uint64][]int)
+	for ci := range classes {
+		vec := flat[start[ci]:start[ci+1]]
+		if len(vec) == 0 {
+			s.classFEC[ci] = -1
 			continue
 		}
-		h := hashIdx(fwd)
+		h := hashIdx(vec)
 		gi := -1
 		for _, g := range buckets[h] {
-			if equalIdx(s.pathIdx[g], fwd) {
+			if equalIdx(s.pathIdx[g], vec) {
 				gi = g
 				break
 			}
 		}
 		if gi < 0 {
 			gi = len(s.pathIdx)
-			s.pathIdx = append(s.pathIdx, append([]int32(nil), fwd...))
+			s.pathIdx = append(s.pathIdx, append([]int32(nil), vec...))
 			s.classIdx = append(s.classIdx, nil)
 			buckets[h] = append(buckets[h], gi)
 		}
 		s.classIdx[gi] = append(s.classIdx[gi], int32(ci))
+		s.classFEC[ci] = int32(gi)
 	}
 	return s
 }
@@ -68,29 +85,39 @@ func NewFECSource(paths []Path, classes []header.Prefix) *FECSource {
 // NumFECs returns the number of forwarding equivalence classes.
 func (s *FECSource) NumFECs() int { return len(s.pathIdx) }
 
-// Materialize builds FEC i with fresh Classes/Paths slices. The result
-// is value-identical to ComputeFECs(paths, classes)[i].
+// Materialize builds FEC i with fresh Classes/Paths slices.
 func (s *FECSource) Materialize(i int) FEC {
 	f := FEC{
 		Classes: make([]header.Prefix, len(s.classIdx[i])),
-		Paths:   make([]Path, len(s.pathIdx[i])),
+		Paths:   s.Paths(i),
 	}
 	for k, ci := range s.classIdx[i] {
 		f.Classes[k] = s.classes[ci]
 	}
-	for k, pi := range s.pathIdx[i] {
-		f.Paths[k] = s.paths[pi]
-	}
 	return f
 }
 
-// PathIndices returns FEC i's path-index vector (indices into the paths
-// slice the source was built from). Callers must not mutate it.
-func (s *FECSource) PathIndices(i int) []int32 { return s.pathIdx[i] }
+// FECs materializes every FEC, in order.
+func (s *FECSource) FECs() []FEC {
+	out := make([]FEC, s.NumFECs())
+	for i := range out {
+		out[i] = s.Materialize(i)
+	}
+	return out
+}
 
-// NumClasses returns the number of member classes of FEC i without
-// materializing it.
-func (s *FECSource) NumClasses(i int) int { return len(s.classIdx[i]) }
+// Paths returns a fresh slice of the paths that forward FEC i.
+func (s *FECSource) Paths(i int) []Path {
+	out := make([]Path, len(s.pathIdx[i]))
+	for k, pi := range s.pathIdx[i] {
+		out[k] = s.paths[pi]
+	}
+	return out
+}
+
+// FECOf returns the index of the FEC holding classes[ci], or -1 when no
+// path forwards that class.
+func (s *FECSource) FECOf(ci int) int { return int(s.classFEC[ci]) }
 
 // ShardRange is a half-open range [Lo, Hi) of FEC indices forming one
 // shard.

@@ -1,49 +1,130 @@
 package topo_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"jinjing/internal/header"
 	"jinjing/internal/netgen"
 	"jinjing/internal/papernet"
 	"jinjing/internal/topo"
 )
 
-// TestFECSourceMatchesComputeFECs pins the streaming source to the
-// materializing implementation: same FEC count, order, member classes,
-// and paths on the paper network and generated WANs.
-func TestFECSourceMatchesComputeFECs(t *testing.T) {
-	type scene struct {
-		name  string
-		net   *topo.Network
-		scope *topo.Scope
+// naiveFECs is the reference grouping the forwarding walk replaces: a
+// per-class × per-path ForwardsClass scan, grouping classes in
+// first-seen order on the joined string identities of the paths that
+// forward them.
+func naiveFECs(paths []topo.Path, classes []header.Prefix) []topo.FEC {
+	var out []topo.FEC
+	index := map[string]int{}
+	for _, c := range classes {
+		var fwd []topo.Path
+		var key []string
+		for _, p := range paths {
+			if p.ForwardsClass(c) {
+				fwd = append(fwd, p)
+				key = append(key, p.String())
+			}
+		}
+		if len(fwd) == 0 {
+			continue
+		}
+		k := strings.Join(key, "|")
+		i, ok := index[k]
+		if !ok {
+			i = len(out)
+			index[k] = i
+			out = append(out, topo.FEC{Paths: fwd})
+		}
+		out[i].Classes = append(out[i].Classes, c)
 	}
-	var scenes []scene
-	scenes = append(scenes, scene{"papernet", papernet.Build(), papernet.Scope()})
+	return out
+}
+
+type fecScene struct {
+	name  string
+	net   *topo.Network
+	scope *topo.Scope
+	extra []header.Prefix // control-intent prefixes refining the classes
+}
+
+func fecScenes() []fecScene {
+	scenes := []fecScene{{name: "papernet", net: papernet.Build(), scope: papernet.Scope()}}
 	for _, size := range []netgen.Size{netgen.Small, netgen.Medium} {
 		for seed := int64(1); seed <= 3; seed++ {
 			w := netgen.Build(netgen.DefaultConfig(size, seed))
-			scenes = append(scenes, scene{size.String(), w.Net, w.Scope})
+			scenes = append(scenes, fecScene{name: fmt.Sprintf("%s/%d", size, seed), net: w.Net, scope: w.Scope})
 		}
 	}
-	for _, sc := range scenes {
-		paths := sc.net.AllPaths(sc.scope)
-		classes := sc.net.EnteringTraffic(sc.scope)
-		want := topo.ComputeFECs(paths, classes)
-		src := topo.NewFECSource(paths, classes)
-		if src.NumFECs() != len(want) {
-			t.Fatalf("%s: NumFECs = %d, ComputeFECs = %d", sc.name, src.NumFECs(), len(want))
+	// Control prefixes: halves and a quarter of announced /24s, an
+	// aggregate over several edges, a slice of the external prefix, and
+	// a prefix no FIB routes.
+	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 2))
+	e0, e1 := w.EdgePrefixes[w.EdgeNames[0]][0], w.EdgePrefixes[w.EdgeNames[1]][1]
+	lo, _ := e0.Halves()
+	_, hi := e1.Halves()
+	q, _ := hi.Halves()
+	scenes = append(scenes, fecScene{name: "small/2+controls", net: w.Net, scope: w.Scope, extra: []header.Prefix{
+		lo, hi, q,
+		header.MustParsePrefix("10.0.0.0/12"),
+		header.MustParsePrefix("8.128.0.0/9"),
+		header.MustParsePrefix("192.168.0.0/16"),
+	}})
+	return scenes
+}
+
+// TestFECSourceMatchesNaiveScan pins the walk-derived FEC index to the
+// per-class × per-path scan: the walk's per-path class sets, the FEC
+// count and order, each FEC's classes and paths, and FECOf. With
+// control prefixes refining the classes, the walk must also find
+// exactly AllPaths's path set.
+func TestFECSourceMatchesNaiveScan(t *testing.T) {
+	for _, sc := range fecScenes() {
+		classes := sc.net.EnteringTraffic(sc.scope, sc.extra...)
+		paths, fwd := sc.net.WalkPaths(sc.scope, classes)
+		if want := sc.net.AllPaths(sc.scope); !reflect.DeepEqual(paths, want) {
+			t.Fatalf("%s: walk over %d classes found %d paths, AllPaths %d", sc.name, len(classes), len(paths), len(want))
 		}
-		for i := range want {
-			got := src.Materialize(i)
-			if !reflect.DeepEqual(got, want[i]) {
-				t.Fatalf("%s: FEC %d differs:\n got %+v\nwant %+v", sc.name, i, got, want[i])
+		for pi, p := range paths {
+			var want []int32
+			for ci, c := range classes {
+				if p.ForwardsClass(c) {
+					want = append(want, int32(ci))
+				}
 			}
-			if src.NumClasses(i) != len(want[i].Classes) {
-				t.Fatalf("%s: FEC %d NumClasses = %d, want %d", sc.name, i, src.NumClasses(i), len(want[i].Classes))
+			if !reflect.DeepEqual(fwd[pi], want) {
+				t.Fatalf("%s: path %v forwards classes %v, walk recorded %v", sc.name, p, want, fwd[pi])
 			}
-			if len(src.PathIndices(i)) != len(want[i].Paths) {
-				t.Fatalf("%s: FEC %d PathIndices = %d, want %d", sc.name, i, len(src.PathIndices(i)), len(want[i].Paths))
+		}
+
+		want := naiveFECs(paths, classes)
+		src := topo.NewFECSource(paths, classes, fwd)
+		if src.NumFECs() != len(want) {
+			t.Fatalf("%s: NumFECs = %d, naive scan = %d", sc.name, src.NumFECs(), len(want))
+		}
+		if got := src.FECs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: FECs differ from the naive scan", sc.name)
+		}
+		for i, f := range want {
+			if got := src.Paths(i); !reflect.DeepEqual(got, f.Paths) {
+				t.Fatalf("%s: FEC %d Paths differ", sc.name, i)
+			}
+		}
+		fecOf := map[header.Prefix]int{}
+		for i, f := range want {
+			for _, c := range f.Classes {
+				fecOf[c] = i
+			}
+		}
+		for ci, c := range classes {
+			wantFEC, ok := fecOf[c]
+			if !ok {
+				wantFEC = -1
+			}
+			if got := src.FECOf(ci); got != wantFEC {
+				t.Fatalf("%s: FECOf(%v) = %d, want %d", sc.name, c, got, wantFEC)
 			}
 		}
 	}
@@ -54,9 +135,9 @@ func TestFECSourceMatchesComputeFECs(t *testing.T) {
 // are deterministic.
 func TestFECSourceShards(t *testing.T) {
 	w := netgen.Build(netgen.DefaultConfig(netgen.Small, 7))
-	paths := w.Net.AllPaths(w.Scope)
 	classes := w.Net.EnteringTraffic(w.Scope)
-	src := topo.NewFECSource(paths, classes)
+	paths, fwd := w.Net.WalkPaths(w.Scope, classes)
+	src := topo.NewFECSource(paths, classes, fwd)
 	n := src.NumFECs()
 	if n == 0 {
 		t.Fatal("no FECs generated")
@@ -93,7 +174,7 @@ func TestFECSourceShards(t *testing.T) {
 }
 
 func TestFECSourceEmpty(t *testing.T) {
-	src := topo.NewFECSource(nil, nil)
+	src := topo.NewFECSource(nil, nil, nil)
 	if src.NumFECs() != 0 {
 		t.Fatalf("NumFECs = %d", src.NumFECs())
 	}

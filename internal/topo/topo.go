@@ -73,8 +73,7 @@ type Device struct {
 	Interfaces map[string]*Interface
 	FIB        []FIBEntry
 
-	lpm        *lpmNode                       // lazily built LPM trie over FIB
-	classCache map[header.Prefix][]*Interface // memoized LongestMatchClass results
+	lpm *lpmNode // lazily built LPM trie over FIB
 }
 
 // lpmNode is one node of the binary LPM trie. outs holds the ECMP set of
@@ -110,7 +109,6 @@ func (d *Device) lpmTrie() *lpmNode {
 
 func (d *Device) invalidateLPM() {
 	d.lpm = nil
-	d.classCache = nil
 }
 
 // Interface returns the named interface, creating it on first use.
@@ -159,9 +157,6 @@ func (d *Device) LongestMatch(addr uint32) []*Interface {
 // panics otherwise, because a non-atomic class has no uniform forwarding
 // behavior.
 func (d *Device) LongestMatchClass(class header.Prefix) []*Interface {
-	if outs, ok := d.classCache[class]; ok {
-		return outs
-	}
 	n := d.lpmTrie()
 	var outs []*Interface
 	for i := 0; ; i++ {
@@ -182,10 +177,6 @@ func (d *Device) LongestMatchClass(class header.Prefix) []*Interface {
 	if n != nil && n.subtree > len(n.outs) {
 		panic(fmt.Sprintf("topo: class %v not atomic wrt FIB on %s", class, d.Name))
 	}
-	if d.classCache == nil {
-		d.classCache = make(map[header.Prefix][]*Interface)
-	}
-	d.classCache[class] = outs
 	return outs
 }
 

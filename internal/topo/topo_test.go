@@ -206,12 +206,11 @@ func TestComputeFECsFigure1(t *testing.T) {
 	// [5]={5,6}, [7]={7}.
 	n := papernet.Build()
 	s := papernet.Scope()
-	paths := n.AllPaths(s)
 	classes := make([]header.Prefix, 0, 7)
 	for i := 1; i <= 7; i++ {
 		classes = append(classes, papernet.Traffic(i))
 	}
-	fecs := topo.ComputeFECs(paths, classes)
+	fecs := deriveFECs(n, s, classes)
 	if len(fecs) != 5 {
 		for _, f := range fecs {
 			t.Logf("FEC %v paths %d", f.Classes, len(f.Paths))
@@ -380,8 +379,7 @@ func TestFECPermitsConsistency(t *testing.T) {
 	n := papernet.Build()
 	s := papernet.Scope()
 	paths := n.AllPaths(s)
-	classes := n.EnteringTraffic(s)
-	fecs := topo.ComputeFECs(paths, classes)
+	fecs := deriveFECs(n, s, n.EnteringTraffic(s))
 	for _, f := range fecs {
 		for _, p := range paths {
 			first := p.ForwardsClass(f.Classes[0])
@@ -392,4 +390,11 @@ func TestFECPermitsConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// deriveFECs runs the engine's derivation: one forwarding walk over the
+// classes, then the grouping.
+func deriveFECs(n *topo.Network, s *topo.Scope, classes []header.Prefix) []topo.FEC {
+	paths, fwd := n.WalkPaths(s, classes)
+	return topo.NewFECSource(paths, classes, fwd).FECs()
 }
